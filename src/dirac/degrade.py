@@ -1,7 +1,9 @@
 """Time-indexed degradation operator families with forward transition maps.
 
-All processes here are affine in the signal: apply(t, x) = A(t) x + b(t),
-with a dense matrix view available for oracles and consistency solvers.
+All processes here are affine in the signal: apply(t, x) = A(t) x + b(t).
+Each family applies the linear part A(t) and its transpose through its own
+structure (matvec/rmatvec); the dense matrix view is kept as the reference
+for verification.
 Severities compose through transition maps G_{t' -> t''}; inpainting composes
 exactly, blur only up to the declared tolerance (sampled truncated Gaussian
 kernels add widths in quadrature only approximately).
@@ -50,8 +52,16 @@ class DegradationProcess(ABC):
         """Forward transition G_{t_lo -> t_hi} taking A_{t_lo}(x) to A_{t_hi}(x)."""
 
     @abstractmethod
+    def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Linear part A(t) applied to an (n,) vector or each column of an (n, k) block."""
+
+    @abstractmethod
+    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Transpose A(t)^T applied to an (n,) vector or each column of an (n, k) block."""
+
+    @abstractmethod
     def as_matrix(self, t: float) -> np.ndarray:
-        """Dense n x n linear part of the operator at severity t."""
+        """Dense n x n linear part of the operator at severity t (verification reference)."""
 
     def offset(self, t: float) -> np.ndarray:
         """Constant part of the operator; zero for linear processes."""
@@ -72,12 +82,11 @@ class DegradationProcess(ABC):
 
     def lipschitz_x(self, t: float) -> float:
         """Spectral norm of the linear part via power iteration."""
-        m = self.as_matrix(t)
-        v = np.ones(m.shape[0]) + 1e-4 * np.arange(m.shape[0])
+        v = np.ones(self.n) + 1e-4 * np.arange(self.n)
         v /= np.linalg.norm(v)
         prev = 0.0
         for _ in range(50):
-            w = m.T @ (m @ v)
+            w = self.rmatvec(t, self.matvec(t, v))
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 return 0.0
@@ -195,17 +204,32 @@ class GaussianBlurProcess(DegradationProcess):
                 )
         return self._circ_cache[key]
 
-    def _blur_width(self, w: float, x: Signal) -> Signal:
-        arr = x.as_array()
-        if arr.ndim == 1:
-            out = self._circulant(w, arr.shape[0]) @ arr
-        else:
-            out = self._circulant(w, arr.shape[0]) @ arr @ self._circulant(w, arr.shape[1]).T
-        return x.with_values(out)
+    def _blur(self, w: float, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """C_h X C_w^T (or its transpose) on a flat image or each column of an (n, k) block."""
+        c_h = self._circulant(w, self._shape[0])
+        if len(self._shape) == 1:
+            return (c_h.T if transpose else c_h) @ x
+        c_w = self._circulant(w, self._shape[1])
+        if transpose:
+            c_h, c_w = c_h.T, c_w.T
+        h, wd = self._shape
+        if x.ndim == 1:
+            return (c_h @ x.reshape(h, wd) @ c_w.T).ravel()
+        # Columns ride along the last axis: C_h mixes image rows, then C_w
+        # acts on each row's (w, k) slice.
+        out = (c_h @ x.reshape(h, -1)).reshape(h, wd, -1)
+        return np.matmul(c_w, out).reshape(x.shape)
+
+    def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        self._check_range(t)
+        return self._blur(self.param_of(t), x)
+
+    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        self._check_range(t)
+        return self._blur(self.param_of(t), x, transpose=True)
 
     def apply(self, t: float, x: Signal) -> Signal:
-        self._check_range(t)
-        return self._blur_width(self.param_of(t), x)
+        return x.with_values(self.matvec(t, x.values))
 
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
@@ -213,7 +237,7 @@ class GaussianBlurProcess(DegradationProcess):
         w_lo, w_hi = self.param_of(t_lo), self.param_of(t_hi)
         if w_hi <= w_lo:
             return y
-        return self._blur_width(math.sqrt(w_hi * w_hi - w_lo * w_lo), y)
+        return y.with_values(self._blur(math.sqrt(w_hi * w_hi - w_lo * w_lo), y.values))
 
     def as_matrix(self, t: float) -> np.ndarray:
         self._check_range(t)
@@ -295,7 +319,7 @@ class GaussianMaskInpaintProcess(DegradationProcess):
         return Signal(self._mask_cache[w], self._shape)
 
     def apply(self, t: float, x: Signal) -> Signal:
-        return x.with_values(self.mask(t).values * x.values)
+        return x.with_values(self.matvec(t, x.values))
 
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
@@ -306,6 +330,13 @@ class GaussianMaskInpaintProcess(DegradationProcess):
         live = m_lo > _MASK_GUARD
         out[live] = y.values[live] * m_hi[live] / m_lo[live]
         return y.with_values(out)
+
+    def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        m = self.mask(t).values
+        return m[:, None] * x if x.ndim == 2 else m * x
+
+    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self.matvec(t, x)
 
     def as_matrix(self, t: float) -> np.ndarray:
         return np.diag(self.mask(t).values)
@@ -352,6 +383,13 @@ class BlendingProcess(DegradationProcess):
         return y.with_values(
             t_hi * self.anchor.values + scale * (y.values - t_lo * self.anchor.values)
         )
+
+    def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        self._check_range(t)
+        return (1.0 - t) * x
+
+    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self.matvec(t, x)
 
     def as_matrix(self, t: float) -> np.ndarray:
         self._check_range(t)

@@ -2,9 +2,9 @@
 
 The score network is parameterized through a clean-image predictor Phi:
 s(y, t) = (A_t(Phi(y, t)) - y) / sigma_t^2. For Gaussian priors with affine
-degradations the exact posterior mean is affine in y, so a per-severity-bin
-affine family literally contains the optimum the losses are guaranteed to
-recover.
+degradations the exact posterior mean is affine in y at each severity, but
+its gain changes with t, so a per-severity-bin affine family can only
+approximate it within a bin.
 """
 
 from __future__ import annotations
@@ -57,7 +57,10 @@ class OracleDenoiser(Denoiser):
 
     estimate(y, t) = mu + Sigma M^T S^{-1} (y - A_t(mu)) with
     S = M Sigma M^T + sigma_t^2 I; the Jacobian is the constant gain matrix,
-    so vjp is exact. Gains are factored once per severity and cached.
+    so vjp is exact. S is built from the operator's structure, as
+    matvec(t, matvec(t, Sigma)^T) with sigma_t^2 added on its diagonal, and
+    never forms the dense M. Each severity's gain is solved once from a
+    Cholesky factor of S and cached.
     """
 
     supports_vjp = True
@@ -70,12 +73,13 @@ class OracleDenoiser(Denoiser):
 
     def _gain(self, t: float) -> np.ndarray:
         if t not in self._gain_cache:
-            m = self.proc.as_matrix(t)
             s = self.noise.sigma(t)
-            cov = m @ self.prior.covariance @ m.T + (s * s) * np.eye(self.prior.n)
-            factor = scipy.linalg.cho_factor(cov)
+            m_sigma = self.proc.matvec(t, self.prior.covariance)
+            cov = self.proc.matvec(t, m_sigma.T)
+            cov[np.diag_indices_from(cov)] += s * s
+            factor = scipy.linalg.cho_factor(cov, overwrite_a=True)
             # K = Sigma M^T S^{-1}, solved as S K^T = M Sigma.
-            self._gain_cache[t] = scipy.linalg.cho_solve(factor, m @ self.prior.covariance).T
+            self._gain_cache[t] = scipy.linalg.cho_solve(factor, m_sigma).T
         return self._gain_cache[t]
 
     def estimate(self, y: Signal, t: float) -> Signal:
@@ -206,10 +210,9 @@ def affine_loss_gradients(model: AffineDenoiser, proc, noise, delta_t: float, ba
         tau = max(t - delta_t, 0.0)
         s = noise.sigma(t)
         w = 1.0 / (s * s)
-        m = proc.as_matrix(tau)
         est = model.d[b] @ y_t.values + model.c[b]
-        r = m @ (est - x0.values)
-        back = 2.0 * w * (m.T @ r)
+        r = proc.matvec(tau, est - x0.values)
+        back = 2.0 * w * proc.rmatvec(tau, r)
         g_d[b] += np.outer(back, y_t.values)
         g_c[b] += back
     g_d /= len(batch)

@@ -171,8 +171,7 @@ def guidance_term(
         raise ValueError("guidance requires a denoiser with vjp support")
     est = den.estimate(y, t)
     resid = y_tilde.values - proc.apply(1.0, est).values
-    m1 = proc.as_matrix(1.0)
-    grad = -2.0 * den.vjp(y, t, y.with_values(m1.T @ resid)).values
+    grad = -2.0 * den.vjp(y, t, y.with_values(proc.rmatvec(1.0, resid))).values
     s_t = noise.sigma(t)
     s_tau = noise.sigma(_snap(max(t - delta_t, 0.0)))
     y_g = (s_tau * s_tau - s_t * s_t) * grad

@@ -12,7 +12,6 @@ from .degrade import DegradationProcess
 
 __all__ = [
     "NoiseSchedule",
-    "sigma",
     "sdp_sample",
     "conditional_score",
     "marginal_score",
@@ -42,10 +41,6 @@ class NoiseSchedule:
         if self.sigma_min == 0.0:
             return 0.0
         return self.sigma_min * (self.sigma_max / self.sigma_min) ** t
-
-
-def sigma(schedule: NoiseSchedule, t: float) -> float:
-    return schedule.sigma(t)
 
 
 def sdp_sample(

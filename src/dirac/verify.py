@@ -56,9 +56,10 @@ def check_pair_consistency(
 ) -> ConsistencyVerdict:
     """Least-squares feasibility test: does one clean signal explain both?
 
-    Solves min_x ||A_tau(x) - y_tau||^2 + ||A_tau+(x) - y_tau+||^2 by normal
-    equations with a 1e-8 ridge; the verdict compares the stacked per-entry
-    RMS residual at the minimizer against the tolerance.
+    Solves min_x ||A_tau(x) - y_tau||^2 + ||A_tau+(x) - y_tau+||^2 as one
+    stacked least-squares problem (SVD-based, so near-zero operator entries
+    need no ridge); the verdict compares the stacked per-entry RMS residual
+    at the minimizer against the tolerance.
     """
     if tau > tau_plus:
         raise ValueError("requires tau <= tau_plus")
@@ -67,12 +68,10 @@ def check_pair_consistency(
     r_lo = y_tau.values - proc.offset(tau)
     r_hi = y_tau_plus.values - proc.offset(tau_plus)
     n = proc.n
-    normal = m_lo.T @ m_lo + m_hi.T @ m_hi + 1e-8 * np.eye(n)
-    rhs = m_lo.T @ r_lo + m_hi.T @ r_hi
     try:
-        x = np.linalg.solve(normal, rhs)
+        x = np.linalg.lstsq(np.vstack([m_lo, m_hi]), np.concatenate([r_lo, r_hi]), rcond=None)[0]
     except np.linalg.LinAlgError as exc:
-        raise ValueError("stacked consistency system is singular beyond ridge repair") from exc
+        raise ValueError("stacked consistency least-squares solve did not converge") from exc
     res_lo = m_lo @ x - r_lo
     res_hi = m_hi @ x - r_hi
     residual = math.sqrt((res_lo @ res_lo + res_hi @ res_hi) / (2 * n))
@@ -172,12 +171,11 @@ class _PerturbedOracle(Denoiser):
         base = self.oracle.estimate(y, t)
         if self.eps == 0.0:
             return base
-        m = self.proc.as_matrix(t)
         u = self.rng.normal(y.n)
-        scale = np.linalg.norm(m @ u)
+        scale = np.linalg.norm(self.proc.matvec(t, u))
         while scale < 1e-12:
             u = self.rng.normal(y.n)
-            scale = np.linalg.norm(m @ u)
+            scale = np.linalg.norm(self.proc.matvec(t, u))
         return base.with_values(base.values + self.eps * u / scale)
 
 

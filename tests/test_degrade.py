@@ -228,6 +228,28 @@ def test_blending_lipschitz_exact():
     assert proc.lipschitz_x(1.0) == 0.0
 
 
+# --- structured operator protocol -----------------------------------------
+
+def _families(shape):
+    return [
+        GaussianBlurProcess(shape),
+        GaussianMaskInpaintProcess(shape),
+        BlendingProcess(_rand_signal(7, shape)),
+    ]
+
+
+@pytest.mark.parametrize("shape", [(12,), (5, 7)])
+@pytest.mark.parametrize("family", range(3))
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_matvec_rmatvec_match_dense_matrix(shape, family, t):
+    proc = _families(shape)[family]
+    m = proc.as_matrix(t)
+    rng = RandomSource(12)
+    for x in (rng.split(0).normal(proc.n), rng.split(1).normal((proc.n, 3))):
+        np.testing.assert_allclose(proc.matvec(t, x), m @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(proc.rmatvec(t, x), m.T @ x, rtol=0, atol=1e-12)
+
+
 # --- spectral norm / temporal estimates ----------------------------------
 
 def test_lipschitz_x_matches_svd():

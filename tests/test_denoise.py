@@ -15,6 +15,7 @@ from dirac.denoise import (
     score_from_denoiser,
     train_affine,
 )
+from dirac.sampler import SamplerConfig, dirac_sample
 from dirac.sdp import NoiseSchedule, conditional_score, marginal_score, sdp_sample
 
 SHAPE = (6, 6)
@@ -99,6 +100,22 @@ def test_oracle_tweedie_identity_all_processes():
             lhs = score_from_denoiser(oracle, proc, noise, y, t).values
             rhs = marginal_score(prior, proc, noise, y, t).values
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(10,), (6, 6)])
+def test_oracle_gain_matches_dense_solve(shape):
+    prior = squared_exponential_prior(shape)
+    noise = NoiseSchedule()
+    anchor = prior_sample(prior, RandomSource(10))
+    for proc in (GaussianBlurProcess(shape), GaussianMaskInpaintProcess(shape),
+                 BlendingProcess(anchor)):
+        oracle = OracleDenoiser(prior, proc, noise)
+        for t in (0.0, 0.37, 1.0):
+            m = proc.as_matrix(t)
+            cov_yy = m @ prior.covariance @ m.T + noise.sigma(t) ** 2 * np.eye(prior.n)
+            expected = np.linalg.solve(cov_yy, m @ prior.covariance).T
+            got = oracle._gain(t)
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_oracle_vjp_is_gain_transpose(setup):
@@ -325,3 +342,24 @@ def test_model_rejects_bad_magic(tmp_path):
     path.write_bytes(b"WRONGMAG" + b"\0" * 64)
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_hot_paths_never_build_dense_matrix(monkeypatch):
+    # a guided blur trajectory and affine training must run on matvec/rmatvec alone
+    def refuse(self, t):
+        raise AssertionError("dense as_matrix called in a hot path")
+
+    for cls in (GaussianBlurProcess, GaussianMaskInpaintProcess, BlendingProcess):
+        monkeypatch.setattr(cls, "as_matrix", refuse)
+    prior = squared_exponential_prior(SHAPE)
+    proc = GaussianBlurProcess(SHAPE)
+    noise = NoiseSchedule()
+    truth = prior_sample(prior, RandomSource(0))
+    y_tilde = sdp_sample(proc, noise, truth, 1.0, RandomSource(1))
+    config = SamplerConfig(delta_t=0.25, eta=0.5, guidance_mode="std_scaled")
+    traj = dirac_sample(OracleDenoiser(prior, proc, noise), proc, noise, y_tilde, config)
+    assert not traj.aborted and len(traj.steps) == 4
+    model = AffineDenoiser.initialized(prior, n_bins=2)
+    report = train_affine(model, proc, noise, prior, loss_kind="incremental", delta_t=0.1,
+                          steps=3, step_size=1e-6, batch_size=4)
+    assert report.steps_run == 3 and not report.diverged
