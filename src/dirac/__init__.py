@@ -72,6 +72,7 @@ from .verify import (
     perception_distortion_sweep,
     robustness_sweep,
     verify_theorem_bound,
+    verify_theorem_bounds,
     verify_theorem_dc,
 )
 

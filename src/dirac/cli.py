@@ -8,6 +8,7 @@ config, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -50,18 +51,15 @@ from .verify import (
     eps_dc,
     perception_distortion_sweep,
     robustness_sweep,
-    verify_theorem_bound,
+    verify_theorem_bounds,
     verify_theorem_dc,
 )
 
-__all__ = ["main", "load_config", "ConfigError", "SUITES", "verify_hooks"]
+__all__ = ["main", "load_config", "ConfigError", "SUITES"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-# Test hooks for injected-fault negative controls; normal runs leave them None.
-verify_hooks: dict = {"thm36_denoiser_factory": None}
 
 
 class ConfigError(Exception):
@@ -384,13 +382,13 @@ def _suite_tweedie(config, prior, noise):
     return worst <= 1e-8, f"max relative error {worst:.3g}"
 
 
-def _suite_thm36(config, prior, noise):
+def _suite_thm36(config, prior, noise, denoiser_factory=None):
     shape = _parse_shape(config["prior"]["shape"])
     proc = GaussianMaskInpaintProcess(shape)
     x0 = prior_sample(prior, RandomSource(7))
     report = verify_theorem_dc(
         proc, noise, x0, config["verify"]["delta_t"], config["verify"]["seeds"],
-        denoiser_factory=verify_hooks["thm36_denoiser_factory"],
+        denoiser_factory=denoiser_factory,
     )
     detail = (f"max deviation {max(report.deviations):.3g} "
               f"(budget {report.deviation_budget:.3g}), "
@@ -403,9 +401,8 @@ def _suite_thm34(config, prior, noise):
     trials = config["verify"]["trials"]
     total_viol = 0
     for proc in procs.values():
-        for eps in (0.0, 0.05, 0.1):
-            report = verify_theorem_bound(proc, noise, prior, 0.05, eps, trials)
-            total_viol += report.violations
+        reports = verify_theorem_bounds(proc, noise, prior, 0.05, (0.0, 0.05, 0.1), trials)
+        total_viol += sum(report.violations for report in reports)
     return total_viol == 0, f"{total_viol} bound violations"
 
 
@@ -490,7 +487,12 @@ SUITES = {
 }
 
 
-def cmd_verify(config, out_dir, jobs) -> int:
+def cmd_verify(config, out_dir, jobs, thm36_denoiser_factory=None) -> int:
+    """Run the requested suites and write verify_report.csv.
+
+    thm36_denoiser_factory(x0), when given, replaces the thm36 suite's
+    ground-truth denoiser; negative controls inject a faulty one through it.
+    """
     requested = [s.strip() for s in config["verify"]["suites"].split(",") if s.strip()]
     if not requested:
         requested = list(SUITES)
@@ -500,8 +502,13 @@ def cmd_verify(config, out_dir, jobs) -> int:
     prior = build_prior(config)
     noise = build_noise(config)
 
+    suites = dict(SUITES)
+    if thm36_denoiser_factory is not None:
+        suites["thm36"] = functools.partial(suites["thm36"],
+                                            denoiser_factory=thm36_denoiser_factory)
+
     def run(name):
-        return name, SUITES[name](config, prior, noise)
+        return name, suites[name](config, prior, noise)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -594,7 +601,8 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out is not None else config["output"]["dir"]
         os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir, args.jobs)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # ValueError: a setting the library refuses (e.g. a noiseless oracle).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

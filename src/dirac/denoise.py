@@ -60,7 +60,9 @@ class OracleDenoiser(Denoiser):
     so vjp is exact. S is built from the operator's structure, as
     matvec(t, matvec(t, Sigma)^T) with sigma_t^2 added on its diagonal, and
     never forms the dense M. Each severity's gain is solved once from a
-    Cholesky factor of S and cached.
+    Cholesky factor of S and cached. A severity where S is singular (the
+    noiseless limit sigma_t = 0 with an operator that zeroes entries) raises
+    ValueError.
     """
 
     supports_vjp = True
@@ -77,7 +79,12 @@ class OracleDenoiser(Denoiser):
             m_sigma = self.proc.matvec(t, self.prior.covariance)
             cov = self.proc.matvec(t, m_sigma.T)
             cov[np.diag_indices_from(cov)] += s * s
-            factor = scipy.linalg.cho_factor(cov, overwrite_a=True)
+            try:
+                factor = scipy.linalg.cho_factor(cov, overwrite_a=True)
+            except scipy.linalg.LinAlgError as exc:
+                raise ValueError(
+                    f"posterior system not positive definite at t={t:.6g}, sigma_t={s:.6g}"
+                ) from exc
             # K = Sigma M^T S^{-1}, solved as S K^T = M Sigma.
             self._gain_cache[t] = scipy.linalg.cho_solve(factor, m_sigma).T
         return self._gain_cache[t]

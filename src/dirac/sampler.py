@@ -99,13 +99,16 @@ def incremental_estimate(
     y: Signal,
     variant: str = "LA",
     small_dt: float | None = None,
+    *,
+    x_hat: Signal | None = None,
 ) -> Signal:
     """Estimate of the reconstruction increment A_{t-dt}(x0) - A_t(x0).
 
     LA applies the degradation at both severities to a single clean-image
     prediction; SLA/SLB replace the far severity with a nearby one and scale
     the finite difference; LB looks backward to t + dt. All severities are
-    clamped to [0,1].
+    clamped to [0,1]. x_hat, when given, is taken as den.estimate(y, t)
+    instead of asking the denoiser again.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown increment variant {variant!r}")
@@ -113,7 +116,7 @@ def incremental_estimate(
         raise ValueError("SLA/SLB require 0 < small_dt < delta_t")
     if delta_t == 0.0:
         return y.with_values(np.zeros(y.n))
-    est = den.estimate(y, t)
+    est = den.estimate(y, t) if x_hat is None else x_hat
     at = proc.apply(t, est).values
     if variant == "LA":
         tau = _snap(max(t - delta_t, 0.0))
@@ -157,19 +160,22 @@ def guidance_term(
     y_tilde: Signal,
     mode: str,
     eta: float,
+    *,
+    x_hat: Signal | None = None,
 ) -> Signal:
     """Measurement-agreement gradient contribution eta_t * y_g.
 
     y_g = (sigma_tau^2 - sigma_t^2) * grad_y ||y_tilde - A_1(Phi(y,t))||^2,
     computed exactly through the denoiser's vector-Jacobian product; eta_t is
     eta/(2 sigma_1^2) (std_scaled) or eta/||residual|| (error_scaled, floored).
-    Refused for denoisers without vjp support.
+    Refused for denoisers without vjp support. x_hat, when given, is taken as
+    den.estimate(y, t) instead of asking the denoiser again.
     """
     if mode not in ("std_scaled", "error_scaled"):
         raise ValueError(f"guidance mode must be scaled, got {mode!r}")
     if not den.supports_vjp:
         raise ValueError("guidance requires a denoiser with vjp support")
-    est = den.estimate(y, t)
+    est = den.estimate(y, t) if x_hat is None else x_hat
     resid = y_tilde.values - proc.apply(1.0, est).values
     grad = -2.0 * den.vjp(y, t, y.with_values(proc.rmatvec(1.0, resid))).values
     s_t = noise.sigma(t)
@@ -196,8 +202,10 @@ def dirac_sample(
 
     Records one step per executed iteration (severity, iterate, clean-image
     estimate, measurement-consistency error, and distortion/perception
-    metrics when truth and prior are supplied). Fully deterministic given
-    config.seed; a non-finite iterate aborts with the diagnostic trajectory.
+    metrics when truth and prior are supplied). Each step asks the denoiser
+    for one estimate, which the incremental, denoising and guidance terms
+    share. Fully deterministic given config.seed; a non-finite iterate aborts
+    with the diagnostic trajectory.
     """
     rng = RandomSource(config.seed)
     traj = Trajectory()
@@ -226,14 +234,15 @@ def dirac_sample(
         )
         tau = _snap(max(t - config.delta_t, 0.0))
         y_r = incremental_estimate(
-            den, proc, t, config.delta_t, y, config.increment_variant, config.small_dt
+            den, proc, t, config.delta_t, y, config.increment_variant, config.small_dt,
+            x_hat=x_hat,
         )
         y_d = denoising_term(proc, noise, t, config.delta_t, y, x_hat)
         new = y.values + y_r.values + y_d.values
         if config.guidance_mode != "none" and config.eta > 0.0:
             new = new + guidance_term(
                 den, proc, noise, t, config.delta_t, y, y_tilde,
-                config.guidance_mode, config.eta,
+                config.guidance_mode, config.eta, x_hat=x_hat,
             ).values
         s_t, s_tau = noise.sigma(t), noise.sigma(tau)
         if s_t > s_tau:

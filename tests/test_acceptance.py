@@ -70,10 +70,10 @@ def test_criterion_01_tweedie_identity():
     rng = RandomSource(0)
     start = time.monotonic()
     worst = 0.0
-    for proc in _processes(shape, prior).values():
+    for pid, proc in enumerate(_processes(shape, prior).values()):
         oracle = OracleDenoiser(prior, proc, noise)
         for k in range(20):
-            sub = rng.split(k + hash(type(proc).__name__) % 1000)
+            sub = rng.split(100 * pid + k)
             x0 = prior_sample(prior, sub.split(0))
             t = 0.05 + 0.95 * float(sub.split(1).uniform())
             y = sdp_sample(proc, noise, x0, t, sub.split(2))

@@ -207,19 +207,26 @@ def test_verify_parallel_matches_serial(tmp_path, capsys):
 
 
 def test_verify_thm36_negative_control(tmp_path, capsys):
-    # swap in a biased denoiser through the test hook: the suite must FAIL
+    # swap in a biased denoiser through cmd_verify's factory: the suite must FAIL
     cfg = write_config(tmp_path, "\n[verify]\nsuites = thm36\nseeds = 16\ndelta_t = 0.25\n")
 
     def biased(truth):
         return GroundTruthDenoiser(truth.with_values(truth.values + 0.5))
 
-    cli.verify_hooks["thm36_denoiser_factory"] = biased
-    try:
-        assert run(["verify", "--config", cfg]) == cli.EXIT_FAIL
-        assert "FAIL thm36" in capsys.readouterr().out
-    finally:
-        cli.verify_hooks["thm36_denoiser_factory"] = None
+    code = cli.cmd_verify(cli.load_config(cfg), str(tmp_path), 1,
+                          thm36_denoiser_factory=biased)
+    assert code == cli.EXIT_FAIL
+    assert "FAIL thm36" in capsys.readouterr().out
     assert run(["verify", "--config", cfg]) == cli.EXIT_OK
+
+
+def test_noiseless_oracle_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "\n[prior]\nshape = 8x8\n"
+                                 "\n[noise]\nsigma_min = 0\nsigma_max = 0\n")
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sigma_t=0" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_sweep_pd_writes_curve(tmp_path):

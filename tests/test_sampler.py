@@ -179,6 +179,24 @@ def test_one_step_update_decomposition(setup):
     np.testing.assert_allclose(traj.steps[1].iterate.values, manual, atol=1e-12)
 
 
+@pytest.mark.parametrize("guidance", ["none", "std_scaled"])
+def test_one_estimate_per_step(setup, guidance):
+    prior, proc, noise, x0, y_tilde = setup
+
+    class Counting(OracleDenoiser):
+        calls = 0
+
+        def estimate(self, y, t):
+            self.calls += 1
+            return super().estimate(y, t)
+
+    den = Counting(prior, proc, noise)
+    cfg = SamplerConfig(delta_t=0.25, eta=0.2, guidance_mode=guidance, seed=7)
+    traj = dirac_sample(den, proc, noise, y_tilde, cfg)
+    assert len(traj.steps) == 4
+    assert den.calls == len(traj.steps)
+
+
 def test_posterior_mean_output_mode(setup):
     prior, proc, noise, x0, y_tilde = setup
     den = OracleDenoiser(prior, proc, noise)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dirac.core import RandomSource, mse, prior_sample, squared_exponential_prior
-from dirac.degrade import GaussianBlurProcess, GaussianMaskInpaintProcess
+from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import GroundTruthDenoiser, OracleDenoiser
 from dirac.sampler import SamplerConfig
 from dirac.sdp import NoiseSchedule, sdp_sample
@@ -12,6 +12,7 @@ from dirac.verify import (
     perception_distortion_sweep,
     robustness_sweep,
     verify_theorem_bound,
+    verify_theorem_bounds,
     verify_theorem_dc,
 )
 
@@ -114,6 +115,23 @@ def test_theorem_bound_perturbed_oracle(setup):
     kept = len(report.lhs_values)
     assert kept + report.skipped == 40
     assert all(l <= r for l, r in zip(report.lhs_values, report.rhs_values))
+
+
+@pytest.mark.parametrize("kind", ["blur", "inpaint", "blending"])
+def test_theorem_bounds_equal_separate_audits(setup, kind):
+    # one pass over the error levels reports exactly what one call per level does
+    prior, _, noise, _ = setup
+    proc = {
+        "blur": lambda: GaussianBlurProcess(SHAPE),
+        "inpaint": lambda: GaussianMaskInpaintProcess(SHAPE),
+        "blending": lambda: BlendingProcess(prior_sample(prior, RandomSource(99))),
+    }[kind]()
+    levels = (0.0, 0.05, 0.1)
+    joint = verify_theorem_bounds(proc, noise, prior, 0.05, levels, trials=12, base_seed=4)
+    separate = [verify_theorem_bound(proc, noise, prior, 0.05, eps, trials=12, base_seed=4)
+                for eps in levels]
+    assert joint == separate
+    assert joint[0].lhs_values and joint[0].lhs_values != joint[1].lhs_values
 
 
 def test_pd_sweep_shapes_and_determinism(setup):
