@@ -74,10 +74,6 @@ def _nonneg(v):
     return v >= 0
 
 
-def _unit(v):
-    return 0.0 <= v <= 1.0
-
-
 # section -> key -> (parser, validator or None, default)
 _SCHEMA = {
     "prior": {
@@ -98,8 +94,8 @@ _SCHEMA = {
         "schedule_file": (str, None, ""),
     },
     "noise": {
-        "sigma_min": (float, _nonneg, 0.01),
-        "sigma_max": (float, _nonneg, 0.05),
+        "sigma_min": (float, None, 0.01),
+        "sigma_max": (float, None, 0.05),
     },
     "schedule": {
         "n_candidates": (int, lambda v: v >= 2, 101),
@@ -109,7 +105,7 @@ _SCHEMA = {
     },
     "training": {
         "loss": (str, lambda v: v in ("denoising", "incremental"), "denoising"),
-        "delta_t": (float, _unit, 0.0),
+        "delta_t": (float, lambda v: 0.0 <= v <= 1.0, 0.0),
         "bins": (int, _positive, 8),
         "steps": (int, _nonneg, 1000),
         "step_size": (float, _positive, 1e-5),
@@ -117,13 +113,13 @@ _SCHEMA = {
         "seed": (int, _nonneg, 0),
     },
     "sampler": {
-        "delta_t": (float, lambda v: 0.0 < v <= 1.0, 0.02),
-        "t_stop": (float, _unit, 0.0),
-        "eta": (float, _nonneg, 0.0),
-        "guidance": (str, lambda v: v in ("none", "std_scaled", "error_scaled"), "none"),
-        "output": (str, lambda v: v in ("final_iterate", "posterior_mean"), "posterior_mean"),
-        "variant": (str, lambda v: v in ("LA", "SLA", "LB", "SLB"), "LA"),
-        "small_dt": (float, _nonneg, 0.0),  # 0 = unset
+        "delta_t": (float, None, 0.02),
+        "t_stop": (float, None, 0.0),
+        "eta": (float, None, 0.0),
+        "guidance": (str, None, "none"),
+        "output": (str, None, "posterior_mean"),
+        "variant": (str, None, "LA"),
+        "small_dt": (float, None, 0.0),  # 0 = unset
         "seed": (int, _nonneg, 0),
         "denoiser": (str, lambda v: v in ("oracle", "model", "truth"), "oracle"),
         "measurement_seed": (int, _nonneg, 0),
@@ -155,8 +151,9 @@ _FILE_KEYS = (("process", "schedule_file"), ("sampler", "measurement_file"),
 def load_config(path) -> dict:
     """Parse and validate a config file into {section: {key: value}}.
 
-    Unknown sections or keys abort; every declared numeric value is
-    range-checked; every referenced file must exist.
+    Unknown sections or keys abort; every value is range-checked, the
+    [noise] and [sampler] sections by building NoiseSchedule and
+    SamplerConfig from them; every referenced file must exist.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
@@ -191,6 +188,11 @@ def load_config(path) -> dict:
         ref = config[section][key]
         if ref and not os.path.isfile(ref):
             raise ConfigError(f"[{section}] {key}: file not found: {ref}")
+    for section, build in (("noise", build_noise), ("sampler", build_sampler_config)):
+        try:
+            build(config)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
     return config
 
 
@@ -216,7 +218,7 @@ def build_prior(config) -> GaussianPrior:
 
 def build_process(config, prior: GaussianPrior):
     c = config["process"]
-    shape = _parse_shape(config["prior"]["shape"])
+    shape = prior.mean.shape
     schedule = load_schedule(c["schedule_file"]) if c["schedule_file"] else None
     if c["kind"] == "blur":
         return GaussianBlurProcess(
@@ -350,8 +352,13 @@ def cmd_sample(config, out_dir, jobs) -> int:
 
 # --- verification suites -------------------------------------------------
 
+# Noise levels of the robustness sweeps (verify suite and `dirac sweep`).
+_NOISE_GRID = (0.0, 0.02, 0.04, 0.05, 0.06, 0.08)
+
+
 def _processes_for_verify(config, prior):
-    shape = _parse_shape(config["prior"]["shape"])
+    """Every family at its default parameters (build_process uses the config's)."""
+    shape = prior.mean.shape
     anchor = prior_sample(prior, RandomSource(config["process"]["anchor_seed"]))
     return {
         "blur": GaussianBlurProcess(shape),
@@ -360,8 +367,7 @@ def _processes_for_verify(config, prior):
     }
 
 
-def _suite_tweedie(config, prior, noise):
-    procs = _processes_for_verify(config, prior)
+def _suite_tweedie(config, prior, noise, procs):
     rng = RandomSource(100)
     worst = 0.0
     # Stream ids are fixed per process; a hash of the name would vary with
@@ -382,12 +388,10 @@ def _suite_tweedie(config, prior, noise):
     return worst <= 1e-8, f"max relative error {worst:.3g}"
 
 
-def _suite_thm36(config, prior, noise, denoiser_factory=None):
-    shape = _parse_shape(config["prior"]["shape"])
-    proc = GaussianMaskInpaintProcess(shape)
+def _suite_thm36(config, prior, noise, procs, denoiser_factory=None):
     x0 = prior_sample(prior, RandomSource(7))
     report = verify_theorem_dc(
-        proc, noise, x0, config["verify"]["delta_t"], config["verify"]["seeds"],
+        procs["inpaint"], noise, x0, config["verify"]["delta_t"], config["verify"]["seeds"],
         denoiser_factory=denoiser_factory,
     )
     detail = (f"max deviation {max(report.deviations):.3g} "
@@ -396,8 +400,7 @@ def _suite_thm36(config, prior, noise, denoiser_factory=None):
     return report.passed, detail
 
 
-def _suite_thm34(config, prior, noise):
-    procs = _processes_for_verify(config, prior)
+def _suite_thm34(config, prior, noise, procs):
     trials = config["verify"]["trials"]
     total_viol = 0
     for proc in procs.values():
@@ -406,9 +409,8 @@ def _suite_thm34(config, prior, noise):
     return total_viol == 0, f"{total_viol} bound violations"
 
 
-def _suite_transitivity(config, prior, noise):
-    shape = _parse_shape(config["prior"]["shape"])
-    proc = GaussianMaskInpaintProcess(shape)
+def _suite_transitivity(config, prior, noise, procs):
+    proc = procs["inpaint"]
     rng = RandomSource(11)
     worst = 0.0
     for i in range(10):
@@ -425,9 +427,8 @@ def _suite_transitivity(config, prior, noise):
     return worst <= 1e-12, f"max transitivity defect {worst:.3g}"
 
 
-def _suite_pd_curve(config, prior, noise):
-    shape = _parse_shape(config["prior"]["shape"])
-    proc = GaussianBlurProcess(shape)
+def _suite_pd_curve(config, prior, noise, procs):
+    proc = procs["blur"]
     den = OracleDenoiser(prior, proc, noise)
     report = perception_distortion_sweep(
         den, proc, noise, prior, SamplerConfig(delta_t=0.05),
@@ -438,9 +439,9 @@ def _suite_pd_curve(config, prior, noise):
                 f"final nll {report.final_nll:.6g} vs peak nll {report.peak_nll:.6g}")
 
 
-def _suite_robustness(config, prior, noise):
-    shape = _parse_shape(config["prior"]["shape"])
-    proc = GaussianBlurProcess(shape)
+def _suite_robustness(config, prior, noise, procs):
+    shape = prior.mean.shape
+    proc = procs["blur"]
     den = OracleDenoiser(prior, proc, noise)
     cfg = SamplerConfig(delta_t=0.05)
     op = robustness_sweep(
@@ -448,17 +449,15 @@ def _suite_robustness(config, prior, noise):
         perturbed_process_factory=lambda mult: GaussianBlurProcess(
             shape, w_min=0.3 * mult, w_max=3.0 * mult),
     )
-    nz = robustness_sweep(den, proc, noise, prior, cfg, kind="noise",
-                          grid=(0.0, 0.02, 0.04, 0.05, 0.06, 0.08))
+    nz = robustness_sweep(den, proc, noise, prior, cfg, kind="noise", grid=_NOISE_GRID)
     values = op.psnr + op.nll + nz.psnr + nz.nll
     ok = all(np.isfinite(v) for v in values)
     return ok, (f"operator psnr {min(op.psnr):.4g}..{max(op.psnr):.4g}, "
                 f"noise psnr {min(nz.psnr):.4g}..{max(nz.psnr):.4g}")
 
 
-def _suite_scheduler(config, prior, noise):
-    shape = _parse_shape(config["prior"]["shape"])
-    proc = GaussianBlurProcess(shape)
+def _suite_scheduler(config, prior, noise, procs):
+    proc = procs["blur"]
     dataset = _prior_dataset(prior, 4, 3)
     table = build_distance_table(proc, dataset, n_candidates=21)
     for m in (1, 3, 6):
@@ -501,6 +500,7 @@ def cmd_verify(config, out_dir, jobs, thm36_denoiser_factory=None) -> int:
             raise ConfigError(f"unknown suite {name!r}")
     prior = build_prior(config)
     noise = build_noise(config)
+    procs = _processes_for_verify(config, prior)
 
     suites = dict(SUITES)
     if thm36_denoiser_factory is not None:
@@ -508,7 +508,7 @@ def cmd_verify(config, out_dir, jobs, thm36_denoiser_factory=None) -> int:
                                             denoiser_factory=thm36_denoiser_factory)
 
     def run(name):
-        return name, suites[name](config, prior, noise)
+        return name, suites[name](config, prior, noise, procs)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -560,8 +560,7 @@ def cmd_sweep(config, out_dir, jobs) -> int:
                                       perturbed_process_factory=factory)
         else:
             report = robustness_sweep(den, proc, noise, prior, cfg, kind="noise",
-                                      grid=(0.0, 0.02, 0.04, 0.05, 0.06, 0.08),
-                                      base_seed=c["seed"])
+                                      grid=_NOISE_GRID, base_seed=c["seed"])
         path = os.path.join(out_dir, f"robustness_{kind}.csv")
         with open(path, "w") as f:
             f.write(f"{kind},psnr,nll\n")

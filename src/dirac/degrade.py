@@ -221,11 +221,9 @@ class GaussianBlurProcess(DegradationProcess):
         return np.matmul(c_w, out).reshape(x.shape)
 
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        self._check_range(t)
         return self._blur(self.param_of(t), x)
 
     def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        self._check_range(t)
         return self._blur(self.param_of(t), x, transpose=True)
 
     def apply(self, t: float, x: Signal) -> Signal:
@@ -240,11 +238,27 @@ class GaussianBlurProcess(DegradationProcess):
         return y.with_values(self._blur(math.sqrt(w_hi * w_hi - w_lo * w_lo), y.values))
 
     def as_matrix(self, t: float) -> np.ndarray:
-        self._check_range(t)
         w = self.param_of(t)
         if len(self._shape) == 1:
             return self._circulant(w, self._shape[0])
         return np.kron(self._circulant(w, self._shape[0]), self._circulant(w, self._shape[1]))
+
+
+def _bump_d2(shape: tuple[int, ...], center) -> np.ndarray:
+    """Flat squared distance of each pixel to the bump centre (default: the middle)."""
+    if center is None:
+        center = tuple(s // 2 for s in shape)
+    grids = np.meshgrid(*(np.arange(s) for s in shape), indexing="ij")
+    d2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+    return d2.astype(np.float64).ravel()
+
+
+def _mask_values(w: float, k: int, d2: np.ndarray) -> np.ndarray:
+    """Flat mask (1 - f/max f)^k for f = exp(-d2 / 2w^2); all ones at w = 0."""
+    if w == 0.0:
+        return np.ones(d2.size)
+    f = np.exp(-d2 / (2.0 * w * w))
+    return (1.0 - f / f.max()) ** k
 
 
 def inpaint_mask(w: float, k: int, shape: tuple[int, ...], center=None) -> Signal:
@@ -258,18 +272,7 @@ def inpaint_mask(w: float, k: int, shape: tuple[int, ...], center=None) -> Signa
     if k < 1:
         raise ValueError("sharpness exponent must be >= 1")
     shape = tuple(int(s) for s in shape)
-    if w == 0.0:
-        return Signal(np.ones(math.prod(shape)), shape)
-    if center is None:
-        center = tuple(s // 2 for s in shape)
-    if len(shape) == 1:
-        d2 = (np.arange(shape[0]) - center[0]) ** 2
-    else:
-        ii, jj = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-        d2 = (ii - center[0]) ** 2 + (jj - center[1]) ** 2
-    f = np.exp(-d2.astype(np.float64) / (2.0 * w * w))
-    mask = (1.0 - f / f.max()) ** k
-    return Signal(mask.ravel(), shape)
+    return Signal(_mask_values(w, k, _bump_d2(shape, center)), shape)
 
 
 class GaussianMaskInpaintProcess(DegradationProcess):
@@ -277,7 +280,9 @@ class GaussianMaskInpaintProcess(DegradationProcess):
 
     M_0 is the identity (w(0)=0) and transitions divide masks entrywise, so
     composition is exact up to rounding; this is the designated process for
-    exactness-sensitive checks.
+    exactness-sensitive checks. Each mask is recomputed when needed from the
+    pixels' squared distances to the bump centre, computed once (bit-identical
+    to inpaint_mask), so the process keeps no per-severity state.
     """
 
     composition_tol = 1e-12
@@ -298,11 +303,13 @@ class GaussianMaskInpaintProcess(DegradationProcess):
             schedule = linear_schedule(0.0, w_final)
         if schedule.knots[0][1] != 0.0:
             raise ValueError("inpainting schedule must start at w=0 (identity mask)")
+        if k < 1:
+            raise ValueError("sharpness exponent must be >= 1")
         self.schedule = schedule
         self.k = int(k)
         self.w_final = schedule.knots[-1][1]
         self.center = center
-        self._mask_cache: dict[float, np.ndarray] = {}
+        self._d2 = _bump_d2(self._shape, center)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -311,12 +318,11 @@ class GaussianMaskInpaintProcess(DegradationProcess):
     def param_of(self, t: float) -> float:
         return self.schedule.interpolate(t)
 
+    def _mask(self, t: float) -> np.ndarray:
+        return _mask_values(self.param_of(t), self.k, self._d2)
+
     def mask(self, t: float) -> Signal:
-        self._check_range(t)
-        w = self.param_of(t)
-        if w not in self._mask_cache:
-            self._mask_cache[w] = inpaint_mask(w, self.k, self._shape, self.center).values
-        return Signal(self._mask_cache[w], self._shape)
+        return Signal(self._mask(t), self._shape)
 
     def apply(self, t: float, x: Signal) -> Signal:
         return x.with_values(self.matvec(t, x.values))
@@ -324,25 +330,24 @@ class GaussianMaskInpaintProcess(DegradationProcess):
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
             raise ValueError("transition requires t_lo <= t_hi")
-        m_lo = self.mask(t_lo).values
-        m_hi = self.mask(t_hi).values
+        m_lo, m_hi = self._mask(t_lo), self._mask(t_hi)
         out = np.zeros_like(y.values)
         live = m_lo > _MASK_GUARD
         out[live] = y.values[live] * m_hi[live] / m_lo[live]
         return y.with_values(out)
 
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        m = self.mask(t).values
+        m = self._mask(t)
         return m[:, None] * x if x.ndim == 2 else m * x
 
     def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.matvec(t, x)
 
     def as_matrix(self, t: float) -> np.ndarray:
-        return np.diag(self.mask(t).values)
+        return np.diag(self._mask(t))
 
     def lipschitz_x(self, t: float) -> float:
-        return float(np.max(self.mask(t).values))
+        return float(np.max(self._mask(t)))
 
 
 class BlendingProcess(DegradationProcess):

@@ -169,7 +169,15 @@ def score_from_denoiser(
     return y.with_values((proc.apply(t, est).values - y.values) / (s * s))
 
 
-def _weighted_loss(den, proc, noise, batch, tau_of) -> float:
+def loss_denoising(den: Denoiser, proc, noise, batch) -> float:
+    """Batch mean of w(t) ||A_t(Phi(y_t,t)) - A_t(x0)||^2 with w = 1/sigma_t^2."""
+    return loss_incremental(den, proc, noise, 0.0, batch)
+
+
+def loss_incremental(den: Denoiser, proc, noise, delta_t: float, batch) -> float:
+    """Same objective evaluated at tau = max(t - delta_t, 0) instead of t."""
+    if not 0.0 <= delta_t <= 1.0:
+        raise ValueError("delta_t must be in [0,1]")
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     total = 0.0
@@ -177,22 +185,10 @@ def _weighted_loss(den, proc, noise, batch, tau_of) -> float:
         s = noise.sigma(t)
         if s == 0.0:
             raise ValueError("loss weighting 1/sigma_t^2 undefined at sigma_t = 0")
-        tau = tau_of(t)
+        tau = max(t - delta_t, 0.0)
         diff = proc.apply(tau, den.estimate(y_t, t)).values - proc.apply(tau, x0).values
         total += float(diff @ diff) / (s * s)
     return total / len(batch)
-
-
-def loss_denoising(den: Denoiser, proc, noise, batch) -> float:
-    """Batch mean of w(t) ||A_t(Phi(y_t,t)) - A_t(x0)||^2 with w = 1/sigma_t^2."""
-    return _weighted_loss(den, proc, noise, batch, lambda t: t)
-
-
-def loss_incremental(den: Denoiser, proc, noise, delta_t: float, batch) -> float:
-    """Same objective evaluated at tau = max(t - delta_t, 0) instead of t."""
-    if not 0.0 <= delta_t <= 1.0:
-        raise ValueError("delta_t must be in [0,1]")
-    return _weighted_loss(den, proc, noise, batch, lambda t: max(t - delta_t, 0.0))
 
 
 @dataclass

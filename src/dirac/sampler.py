@@ -61,8 +61,10 @@ class SamplerConfig:
             raise ValueError("delta_t must be in (0,1]")
         if not 0.0 <= self.t_stop < 1.0:
             raise ValueError("t_stop must be in [0,1)")
-        if self.eta < 0:
+        if not (self.eta >= 0):
             raise ValueError("eta must be non-negative")
+        if self.small_dt is not None and not (self.small_dt > 0):
+            raise ValueError("small_dt must be positive when set")
         if self.guidance_mode not in _GUIDANCE_MODES:
             raise ValueError(f"unknown guidance mode {self.guidance_mode!r}")
         if self.output_mode not in _OUTPUT_MODES:

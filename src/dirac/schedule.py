@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,9 +144,8 @@ def greedy_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
         raise ValueError(f"m={m} too large for {N} candidates")
     if np.all(table.d == 0):
         # Degenerate table: no signal to schedule on; fall back to uniform knots.
-        idx = np.linspace(0, N - 1, m + 2).round().astype(int)
-        knots = tuple((float(table.candidates[i]), float(table.params[i])) for i in idx)
-        return SeveritySchedule(knots, warning="degenerate distance table; uniform knots")
+        return replace(uniform_schedule(table, m),
+                       warning="degenerate distance table; uniform knots")
 
     selected = [0, N - 1]
     trace = [float(table.d[0, N - 1])]
@@ -176,7 +175,6 @@ def _find_best_split(table: DistanceTable, e_start: int, e_end: int, d_max: floa
         # No interior point improves the edge; take the first interior candidate.
         split = e_start + 1
     return split
-
 
 
 def uniform_schedule(table: DistanceTable, m: int) -> SeveritySchedule:

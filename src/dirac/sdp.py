@@ -30,7 +30,7 @@ class NoiseSchedule:
     sigma_max: float = 0.05
 
     def __post_init__(self):
-        if self.sigma_min < 0 or self.sigma_max < self.sigma_min:
+        if not (self.sigma_min >= 0) or not (self.sigma_max >= self.sigma_min):
             raise ValueError("requires 0 <= sigma_min <= sigma_max")
         if self.sigma_min == 0.0 and self.sigma_max > 0.0:
             raise ValueError("geometric schedule needs sigma_min > 0 unless fully noiseless")

@@ -71,6 +71,74 @@ def test_out_of_range_value_rejected(tmp_path):
     assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
 
 
+# (section, key, value, loads). load_config checks [noise] and [sampler] by
+# building NoiseSchedule and SamplerConfig, so their cross-field rules apply.
+LOAD_CASES = [
+    ("noise", "sigma_min", "-1", False),
+    ("noise", "sigma_min", "0", False),
+    ("noise", "sigma_min", "nan", False),
+    ("noise", "sigma_min", "inf", False),
+    ("noise", "sigma_min", "0.05", True),
+    ("noise", "sigma_min", "0.06", False),
+    ("noise", "sigma_max", "-1", False),
+    ("noise", "sigma_max", "0", False),
+    ("noise", "sigma_max", "nan", False),
+    ("noise", "sigma_max", "inf", True),
+    ("noise", "sigma_max", "0.005", False),
+    ("noise", "sigma_max", "0.01", True),
+    ("sampler", "delta_t", "-1", False),
+    ("sampler", "delta_t", "0", False),
+    ("sampler", "delta_t", "nan", False),
+    ("sampler", "delta_t", "inf", False),
+    ("sampler", "delta_t", "1", True),
+    ("sampler", "delta_t", "1.0001", False),
+    ("sampler", "delta_t", "1e-9", True),
+    ("sampler", "t_stop", "-1", False),
+    ("sampler", "t_stop", "0", True),
+    ("sampler", "t_stop", "nan", False),
+    ("sampler", "t_stop", "inf", False),
+    ("sampler", "t_stop", "0.999", True),
+    ("sampler", "t_stop", "1", False),
+    ("sampler", "eta", "-1", False),
+    ("sampler", "eta", "0", True),
+    ("sampler", "eta", "-0.0", True),
+    ("sampler", "eta", "nan", False),
+    ("sampler", "eta", "inf", True),
+    ("sampler", "small_dt", "-1", False),
+    ("sampler", "small_dt", "0", True),  # 0 = unset
+    ("sampler", "small_dt", "nan", False),
+    ("sampler", "small_dt", "inf", True),
+    ("sampler", "small_dt", "0.01", True),
+    ("sampler", "guidance", "bogus", False),
+    ("sampler", "guidance", "error_scaled", True),
+    ("sampler", "output", "bogus", False),
+    ("sampler", "output", "final_iterate", True),
+    ("sampler", "variant", "bogus", False),
+    ("sampler", "variant", "SLA", False),  # no small_dt
+    ("sampler", "variant", "LB", True),
+]
+
+
+@pytest.mark.parametrize("section,key,value,loads", LOAD_CASES,
+                         ids=[f"{s}.{k}={v}" for s, k, v, _ in LOAD_CASES])
+def test_load_config_range_verdicts(tmp_path, section, key, value, loads):
+    path = tmp_path / "one.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    if loads:
+        cli.load_config(str(path))
+    else:
+        with pytest.raises(cli.ConfigError, match=rf"\[{section}\]"):
+            cli.load_config(str(path))
+
+
+def test_empty_config_loads_defaults(tmp_path):
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    config = cli.load_config(str(path))
+    assert config["noise"] == {"sigma_min": 0.01, "sigma_max": 0.05}
+    assert config["sampler"]["variant"] == "LA"
+
+
 def test_bad_arguments_are_usage_errors(tmp_path):
     cfg = write_config(tmp_path)
     assert run(["frobnicate", "--config", cfg]) == cli.EXIT_USAGE
@@ -197,12 +265,19 @@ def test_verify_report_independent_of_hash_seed(tmp_path):
 
 
 def test_verify_parallel_matches_serial(tmp_path, capsys):
+    # All seven suites, so the operators they share run on several threads;
+    # a short switch interval makes the threads interleave more often.
     cfg = write_config(tmp_path,
-                       "\n[verify]\nsuites = tweedie, transitivity, scheduler\nseeds = 8\n"
+                       "\n[verify]\nseeds = 8\n"
                        "\n[schedule]\nm = 2\nn_candidates = 11\ndataset_size = 4\n")
     assert run(["verify", "--config", cfg]) == cli.EXIT_OK
     serial = capsys.readouterr().out
-    assert run(["verify", "--config", cfg, "--jobs", "3"]) == cli.EXIT_OK
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run(["verify", "--config", cfg, "--jobs", "3"]) == cli.EXIT_OK
+    finally:
+        sys.setswitchinterval(interval)
     assert capsys.readouterr().out == serial
 
 

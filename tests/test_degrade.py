@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,36 @@ def test_inpaint_matrix_is_diagonal_mask():
 def test_inpaint_requires_identity_start():
     with pytest.raises(ValueError):
         GaussianMaskInpaintProcess(SHAPE, schedule=linear_schedule(0.5, 2.0))
+
+
+@pytest.mark.parametrize("shape,center", [((8, 8), None), ((16, 16), None), ((7,), None),
+                                          ((8, 8), (1, 6))])
+def test_inpaint_process_mask_bit_identical_to_inpaint_mask(shape, center):
+    proc = GaussianMaskInpaintProcess(shape, center=center)
+    for t in np.linspace(0.0, 1.0, 257):
+        expected = inpaint_mask(proc.param_of(t), proc.k, shape, center).values
+        np.testing.assert_array_equal(proc.mask(t).values, expected)
+        np.testing.assert_array_equal(np.diag(proc.as_matrix(t)), expected)
+
+
+def test_inpaint_sharpness_checked_at_construction():
+    with pytest.raises(ValueError):
+        GaussianMaskInpaintProcess(SHAPE, k=0)
+
+
+def test_inpaint_memory_does_not_grow_with_severities():
+    proc = GaussianMaskInpaintProcess((8, 8))
+    x = _rand_signal(3, (8, 8))
+    proc.apply(0.5, x)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(5000):
+            proc.apply((i + 0.5) / 5000, x)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1_000_000
 
 
 def test_inpaint_lipschitz_is_max_mask():

@@ -42,6 +42,12 @@ def test_config_validation():
         SamplerConfig(increment_variant="SLA")  # needs small_dt
     with pytest.raises(ValueError):
         SamplerConfig(increment_variant="SLA", small_dt=0.05)  # >= delta_t
+    with pytest.raises(ValueError):
+        SamplerConfig(eta=math.nan)
+    with pytest.raises(ValueError):
+        SamplerConfig(small_dt=math.nan)
+    with pytest.raises(ValueError):
+        SamplerConfig(small_dt=-1.0)  # set but not positive, for any variant
 
 
 def test_severity_grid_and_step_count(setup):

@@ -34,6 +34,8 @@ def test_sigma_validation():
     with pytest.raises(ValueError):
         NoiseSchedule(sigma_min=0.0, sigma_max=0.05)
     with pytest.raises(ValueError):
+        NoiseSchedule(sigma_min=math.nan, sigma_max=math.nan)
+    with pytest.raises(ValueError):
         NoiseSchedule().sigma(1.5)
 
 
