@@ -1,8 +1,9 @@
 """Build a degradation schedule for the blur operator and compare it against
 uniformly spaced severities.
 
-Greedy max-edge splitting concentrates knots where the operator changes
-fastest; for blur that is the low-width end of the range.
+The min-max schedule (a dynamic program over the distance table) puts knots
+where the operator changes fastest; for blur that is the low-width end of the
+range. Its trace lists the optimum for each number of interior knots.
 """
 
 from dirac.core import RandomSource, prior_sample, squared_exponential_prior
@@ -23,20 +24,20 @@ def main():
     table = build_distance_table(proc, dataset, n_candidates=41)
 
     m = 6
-    greedy = greedy_schedule(table, m)
+    minmax = greedy_schedule(table, m)
     uniform = uniform_schedule(table, m)
 
     print(f"{m} interior knots on {table.size} candidates")
-    print("greedy knots (t, w):")
-    for t, w in greedy.knots:
+    print("min-max knots (t, w):")
+    for t, w in minmax.knots:
         print(f"  t={t:.3f}  w={w:.3f}")
-    g = greedy.max_edge_trace[-1]
+    g = minmax.max_edge_trace[-1]
     u = max_edge_distance(
         table,
         [round(i * (table.size - 1) / (m + 1)) for i in range(m + 2)],
     )
-    print(f"max edge distance: greedy {g:.4f} vs uniform {u:.4f}")
-    print("insertion trace:", " ".join(f"{d:.4f}" for d in greedy.max_edge_trace))
+    print(f"max edge distance: min-max {g:.4f} vs uniform {u:.4f}")
+    print("optimum by interior knots:", " ".join(f"{d:.4f}" for d in minmax.max_edge_trace))
 
 
 if __name__ == "__main__":

@@ -215,16 +215,28 @@ def write_signal(signal: Signal, path) -> None:
         f.write(signal.values.astype("<f8").tobytes())
 
 
-def read_signal(path) -> Signal:
+def check_length(path, data: bytes, expected: int, at_least: bool = False) -> None:
+    """Refuse data that is not exactly expected bytes long, or with at_least, shorter."""
+    if len(data) < expected or (not at_least and len(data) != expected):
+        raise ValueError(
+            f"{path}: expected {'at least ' * at_least}{expected} bytes, got {len(data)}")
+
+
+def read_binary(path, magic: bytes, version: int, header: int) -> bytes:
+    """A binary file's bytes, once its header length, magic and version byte check out."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _SIGNAL_MAGIC:
-            raise ValueError("not a signal file (bad magic)")
-        version = struct.unpack("<B", f.read(1))[0]
-        if version != _SIGNAL_VERSION:
-            raise ValueError(f"unsupported signal file version {version}")
-        ndim = struct.unpack("<B", f.read(1))[0]
-        shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-        count = math.prod(shape)
-        vals = np.frombuffer(f.read(count * 8), dtype="<f8")
-    return Signal(vals.copy(), shape)
+        data = f.read()
+    check_length(path, data, header, at_least=True)
+    if data[: len(magic)] != magic or data[len(magic)] != version:
+        raise ValueError(f"{path}: not a version {version} {magic.decode()} file")
+    return data
+
+
+def read_signal(path) -> Signal:
+    data = read_binary(path, _SIGNAL_MAGIC, _SIGNAL_VERSION, header=10)
+    ndim = data[9]
+    header = 10 + 4 * ndim
+    check_length(path, data, header, at_least=True)
+    shape = struct.unpack_from(f"<{ndim}I", data, 10)
+    check_length(path, data, header + 8 * math.prod(shape))
+    return Signal(np.frombuffer(data, dtype="<f8", offset=header).copy(), shape)

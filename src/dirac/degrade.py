@@ -2,19 +2,21 @@
 
 All processes here are affine in the signal: apply(t, x) = A(t) x + b(t).
 Each family applies the linear part A(t) and its transpose through its own
-structure (matvec/rmatvec); the dense matrix view is kept as the reference
-for verification.
-Severities compose through transition maps G_{t' -> t''}; inpainting composes
-exactly, blur only up to the declared tolerance (sampled truncated Gaussian
-kernels add widths in quadrature only approximately).
+structure (matvec/rmatvec) and gives its spectral norm in closed form; the
+dense matrix view is kept as the reference for verification.
+Severities compose exactly (up to rounding) through transition maps
+G_{t' -> t''}: inpainting divides masks, blur adds discrete-Gaussian
+variances and blending re-blends toward its anchor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import GaussianPrior, RandomSource, Signal, prior_sample
 from .schedule import SeveritySchedule, linear_schedule
@@ -80,25 +82,9 @@ class DegradationProcess(ABC):
     def n(self) -> int:
         return math.prod(self.shape)
 
+    @abstractmethod
     def lipschitz_x(self, t: float) -> float:
-        """Spectral norm of the linear part via power iteration."""
-        v = np.ones(self.n) + 1e-4 * np.arange(self.n)
-        v /= np.linalg.norm(v)
-        prev = 0.0
-        for _ in range(50):
-            w = self.rmatvec(t, self.matvec(t, v))
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            # Rayleigh-quotient estimate: squared convergence rate compared
-            # to the iterate norm, which matters when the top eigenvalues of
-            # M^T M nearly coincide.
-            est = math.sqrt(max(float(v @ w), 0.0))
-            v = w / norm
-            if abs(est - prev) <= 1e-8 * max(est, 1.0):
-                return est
-            prev = est
-        raise RuntimeError("power iteration did not converge in 50 iterations")
+        """Spectral norm of the linear part A(t), in closed form."""
 
     def _check_range(self, t: float) -> None:
         if not 0.0 <= t <= 1.0:
@@ -143,26 +129,47 @@ def blur_kernel(w: float, size: int) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _circulant_from_kernel(kernel: np.ndarray, length: int) -> np.ndarray:
-    """1-D circular-convolution matrix; kernel taps wrap modulo the axis length."""
-    half = kernel.size // 2
-    wrapped = np.zeros(length)
-    for tap, offset in zip(kernel, range(-half, half + 1)):
-        wrapped[offset % length] += tap
-    cols = np.arange(length)
-    return wrapped[(cols[:, None] - cols[None, :]) % length]
+def _blur_variance(w: float) -> float:
+    """Variance of blur_kernel(w, 2*ceil(4w) + 1): 0 below _IMPULSE_WIDTH."""
+    if w < _IMPULSE_WIDTH:
+        return 0.0
+    # Scalar loop, faster than numpy on <= 12 terms; f = exp(-i^2/2w^2) by ratios.
+    f, ratio, step = 1.0, math.exp(-0.5 / (w * w)), math.exp(-1.0 / (w * w))
+    mass = moment = 0.0
+    for i in range(1, math.ceil(4.0 * w) + 1):
+        f *= ratio
+        ratio *= step
+        mass += f
+        moment += f * i * i
+    return 2.0 * moment / (1.0 + 2.0 * mass)
+
+
+def _axis_tables(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(2 pi k/N) - 1 and the inverse DFT for k, lags <= N/2; each (i, j)'s cyclic lag."""
+    k = np.arange(length // 2 + 1)
+    lag = np.abs(np.arange(length)[:, None] - np.arange(length))
+    lag = np.minimum(lag, length - lag)  # cyclic |i - j|: the circulant is exactly symmetric
+    # The multiplier is even in k, so each 0 < k < N/2 stands for k and N - k.
+    weight = np.where((k == 0) | (2 * k == length), 1.0, 2.0) / length
+    inverse = weight * np.cos(2.0 * np.pi * (np.outer(k, k) % length) / length)
+    return np.cos(2.0 * np.pi * k / length) - 1.0, inverse, lag
 
 
 class GaussianBlurProcess(DegradationProcess):
-    """Separable circular Gaussian blur with severity-scheduled kernel width.
+    """Separable circular discrete-Gaussian blur with severity-scheduled width.
 
+    The width w_t sets a variance v(w_t), that of the sampled kernel
+    blur_kernel(w_t, 2*ceil(4 w_t) + 1), and each axis is blurred by
+    Lindeberg's discrete Gaussian of that variance, whose DFT multiplier on
+    the periodic grid is exp(v (cos 2 pi k/N - 1)) (IEEE TPAMI 12(3), 1990).
+    Variances add under convolution, so transitions blur by v'' - v' and
+    compose exactly up to rounding. A_t is symmetric with spectral norm 1.
     Following the reference setup, a residual width w_min is kept at t=0, so
     A_0 is only approximately the identity; identity_tol reflects the measured
-    relative deviation on prior samples. Widths add in quadrature under
-    composition, so transitions blur by sqrt(w''^2 - w'^2).
+    relative deviation on prior samples.
     """
 
-    composition_tol = 1e-3
+    composition_tol = 1e-12
     identity_tol = 0.05
 
     def __init__(
@@ -171,20 +178,12 @@ class GaussianBlurProcess(DegradationProcess):
         schedule: SeveritySchedule | None = None,
         w_min: float = 0.3,
         w_max: float = 3.0,
-        kernel_size: int | None = None,
     ):
         self._shape = tuple(int(s) for s in shape)
         if schedule is None:
             schedule = linear_schedule(w_min, w_max)
         self.schedule = schedule
-        self.w_min = schedule.knots[0][1]
-        self.w_max = schedule.knots[-1][1]
-        if kernel_size is None:
-            kernel_size = min(61, 2 * math.ceil(4.0 * self.w_max) + 1)
-        if kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd")
-        self.kernel_size = kernel_size
-        self._circ_cache: dict[tuple[float, int], np.ndarray] = {}
+        self._tables = {n: _axis_tables(n) for n in set(self._shape)}
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -193,38 +192,28 @@ class GaussianBlurProcess(DegradationProcess):
     def param_of(self, t: float) -> float:
         return self.schedule.interpolate(t)
 
-    def _circulant(self, w: float, length: int) -> np.ndarray:
-        key = (w, length)
-        if key not in self._circ_cache:
-            if w < _IMPULSE_WIDTH:
-                self._circ_cache[key] = np.eye(length)
-            else:
-                self._circ_cache[key] = _circulant_from_kernel(
-                    blur_kernel(w, self.kernel_size), length
-                )
-        return self._circ_cache[key]
+    def _axis_blur(self, v: float, length: int) -> np.ndarray:
+        generator, inverse, lag = self._tables[length]
+        return (inverse @ np.exp(v * generator))[lag]
 
-    def _blur(self, w: float, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """C_h X C_w^T (or its transpose) on a flat image or each column of an (n, k) block."""
-        c_h = self._circulant(w, self._shape[0])
+    def _blur(self, v: float, x: np.ndarray) -> np.ndarray:
+        """C_h X C_w at variance v on a flat image or each column of an (n, k) block."""
+        c_h = self._axis_blur(v, self._shape[0])
         if len(self._shape) == 1:
-            return (c_h.T if transpose else c_h) @ x
-        c_w = self._circulant(w, self._shape[1])
-        if transpose:
-            c_h, c_w = c_h.T, c_w.T
+            return c_h @ x
         h, wd = self._shape
+        c_w = c_h if wd == h else self._axis_blur(v, wd)
         if x.ndim == 1:
-            return (c_h @ x.reshape(h, wd) @ c_w.T).ravel()
+            return (c_h @ x.reshape(h, wd) @ c_w).ravel()
         # Columns ride along the last axis: C_h mixes image rows, then C_w
         # acts on each row's (w, k) slice.
         out = (c_h @ x.reshape(h, -1)).reshape(h, wd, -1)
         return np.matmul(c_w, out).reshape(x.shape)
 
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self._blur(self.param_of(t), x)
+        return self._blur(_blur_variance(self.param_of(t)), x)
 
-    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self._blur(self.param_of(t), x, transpose=True)
+    rmatvec = matvec  # A(t) is symmetric
 
     def apply(self, t: float, x: Signal) -> Signal:
         return x.with_values(self.matvec(t, x.values))
@@ -232,16 +221,22 @@ class GaussianBlurProcess(DegradationProcess):
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
             raise ValueError("transition requires t_lo <= t_hi")
-        w_lo, w_hi = self.param_of(t_lo), self.param_of(t_hi)
-        if w_hi <= w_lo:
+        dv = _blur_variance(self.param_of(t_hi)) - _blur_variance(self.param_of(t_lo))
+        if dv <= 0.0:
             return y
-        return y.with_values(self._blur(math.sqrt(w_hi * w_hi - w_lo * w_lo), y.values))
+        return y.with_values(self._blur(dv, y.values))
 
     def as_matrix(self, t: float) -> np.ndarray:
-        w = self.param_of(t)
-        if len(self._shape) == 1:
-            return self._circulant(w, self._shape[0])
-        return np.kron(self._circulant(w, self._shape[0]), self._circulant(w, self._shape[1]))
+        """Kronecker product of expm(v ((S + S^T)/2 - I)) per axis, S the cyclic shift."""
+        v = _blur_variance(self.param_of(t))
+        eyes = [np.eye(n) for n in self._shape]
+        generators = [(np.roll(i, 1, axis=0) + np.roll(i, -1, axis=0)) / 2.0 - i for i in eyes]
+        return functools.reduce(np.kron, [expm(v * g) for g in generators])
+
+    def lipschitz_x(self, t: float) -> float:
+        """1 at every severity: the DFT multiplier is 1 at k = 0 and at most 1 elsewhere."""
+        self._check_range(t)
+        return 1.0
 
 
 def _bump_d2(shape: tuple[int, ...], center) -> np.ndarray:
@@ -254,11 +249,14 @@ def _bump_d2(shape: tuple[int, ...], center) -> np.ndarray:
 
 
 def _mask_values(w: float, k: int, d2: np.ndarray) -> np.ndarray:
-    """Flat mask (1 - f/max f)^k for f = exp(-d2 / 2w^2); all ones at w = 0."""
+    """Flat mask (1 - f/max f)^k for f = exp(-d2 / 2w^2); all ones at w = 0.
+
+    f is taken from d2 - min d2, so max f is 1 even where the bump underflows.
+    """
     if w == 0.0:
         return np.ones(d2.size)
-    f = np.exp(-d2 / (2.0 * w * w))
-    return (1.0 - f / f.max()) ** k
+    f = np.exp(-(d2 - d2.min()) / (2.0 * w * w))
+    return (1.0 - f) ** k
 
 
 def inpaint_mask(w: float, k: int, shape: tuple[int, ...], center=None) -> Signal:
@@ -340,8 +338,7 @@ class GaussianMaskInpaintProcess(DegradationProcess):
         m = self._mask(t)
         return m[:, None] * x if x.ndim == 2 else m * x
 
-    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.matvec(t, x)
+    rmatvec = matvec  # A(t) is symmetric
 
     def as_matrix(self, t: float) -> np.ndarray:
         return np.diag(self._mask(t))
@@ -393,8 +390,7 @@ class BlendingProcess(DegradationProcess):
         self._check_range(t)
         return (1.0 - t) * x
 
-    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.matvec(t, x)
+    rmatvec = matvec  # A(t) is symmetric
 
     def as_matrix(self, t: float) -> np.ndarray:
         self._check_range(t)

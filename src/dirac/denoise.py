@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import GaussianPrior, RandomSource, Signal, prior_sample
+from .core import GaussianPrior, RandomSource, Signal, check_length, prior_sample, read_binary
 from .degrade import DegradationProcess
 from .sdp import NoiseSchedule, sdp_sample
 
@@ -282,16 +282,9 @@ def save_model(model: AffineDenoiser, path) -> None:
 
 
 def load_model(path) -> AffineDenoiser:
-    with open(path, "rb") as f:
-        if f.read(8) != _MODEL_MAGIC:
-            raise ValueError("not a model file (bad magic)")
-        version = struct.unpack("<B", f.read(1))[0]
-        if version != _MODEL_VERSION:
-            raise ValueError(f"unsupported model file version {version}")
-        n_bins, n = struct.unpack("<II", f.read(8))
-        d = np.empty((n_bins, n, n))
-        c = np.empty((n_bins, n))
-        for b in range(n_bins):
-            d[b] = np.frombuffer(f.read(n * n * 8), dtype="<f8").reshape(n, n)
-            c[b] = np.frombuffer(f.read(n * 8), dtype="<f8")
-    return AffineDenoiser(d, c)
+    data = read_binary(path, _MODEL_MAGIC, _MODEL_VERSION, header=17)
+    n_bins, n = struct.unpack_from("<II", data, 9)
+    check_length(path, data, 17 + 8 * n_bins * (n * n + n))
+    blocks = np.frombuffer(data, dtype="<f8", offset=17).reshape(n_bins, n * n + n)
+    return AffineDenoiser(blocks[:, : n * n].reshape(n_bins, n, n).copy(),
+                          blocks[:, n * n:].copy())

@@ -1,7 +1,8 @@
-"""Greedy degradation scheduling: min-max splitting of a severity distance table."""
+"""Degradation scheduling: exact min-max knot selection on a severity distance table."""
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,13 +47,15 @@ class SeveritySchedule:
         if any(w1 < w0 for w0, w1 in zip(ws, ws[1:])):
             raise ValueError("knot parameters must be non-decreasing")
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_ts", tuple(ts))
 
     def interpolate(self, t: float) -> float:
+        """np.interp over the knots in scalar Python: the same arithmetic, far cheaper."""
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"severity {t} outside [0,1]")
-        ts = [k[0] for k in self.knots]
-        ws = [k[1] for k in self.knots]
-        return float(np.interp(t, ts, ws))
+        j = bisect.bisect_right(self._ts, t) - 1
+        (t0, w0), (t1, w1) = self.knots[j], self.knots[min(j + 1, len(self.knots) - 1)]
+        return w0 if t == t0 else (w1 - w0) / (t1 - t0) * (t - t0) + w0
 
 
 def linear_schedule(w_min: float, w_max: float) -> SeveritySchedule:
@@ -132,12 +135,13 @@ def max_edge_distance(table: DistanceTable, indices) -> float:
 
 
 def greedy_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
-    """Select m interior severities by repeatedly splitting the max-distance edge.
+    """Exact min-max schedule: m interior knots minimizing the largest edge distance.
 
-    Each insertion splits the current maximum-distance edge at the interior
-    candidate minimizing the larger of the two resulting edge distances; ties
-    break toward the smallest candidate index. The max edge distance is
-    non-increasing across insertions.
+    A dynamic program over (edges used, last knot) solves it in O(m N^2): the
+    linear-partition recurrence with max in place of sum (Skiena, The
+    Algorithm Design Manual, section 8.5). max_edge_trace[i] is the optimum
+    with i interior knots. Ties break toward the smallest candidate index, so
+    reruns are byte-identical.
     """
     N = table.size
     if m > N - 2:
@@ -147,34 +151,20 @@ def greedy_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
         return replace(uniform_schedule(table, m),
                        warning="degenerate distance table; uniform knots")
 
-    selected = [0, N - 1]
-    trace = [float(table.d[0, N - 1])]
+    # best[j]: least max edge over paths 0 -> j with the current edge count.
+    forward = np.where(np.triu(np.ones((N, N), dtype=bool), 1), table.d, np.inf)
+    best, prev = forward[0], []
+    trace = [float(best[-1])]
     for _ in range(m):
-        # Largest edge that still has an interior candidate to insert; an
-        # adjacent-candidate edge cannot be split further.
-        edges = [(i, j) for i, j in zip(selected, selected[1:]) if j - i >= 2]
-        edges.sort(key=lambda e: (-table.d[e[0], e[1]], e[0]))
-        e_start, e_end = edges[0]
-        split = _find_best_split(table, e_start, e_end, table.d[e_start, e_end])
-        selected.append(split)
-        selected.sort()
-        trace.append(max_edge_distance(table, selected))
-    knots = tuple((float(table.candidates[i]), float(table.params[i])) for i in selected)
+        reach = np.maximum(best[:, None], forward)
+        prev.append(np.argmin(reach, axis=0))  # first minimum: smallest index
+        best = reach.min(axis=0)
+        trace.append(float(best[-1]))
+    selected = [N - 1]
+    for back in reversed(prev):
+        selected.insert(0, int(back[selected[0]]))
+    knots = tuple((float(table.candidates[i]), float(table.params[i])) for i in [0, *selected])
     return SeveritySchedule(knots, max_edge_trace=tuple(trace))
-
-
-def _find_best_split(table: DistanceTable, e_start: int, e_end: int, d_max: float) -> int:
-    best = d_max
-    split = None
-    for j in range(e_start + 1, e_end):
-        worse = max(table.d[e_start, j], table.d[j, e_end])
-        if worse < best:  # strict: first (smallest-index) candidate wins ties
-            best = worse
-            split = j
-    if split is None:
-        # No interior point improves the edge; take the first interior candidate.
-        split = e_start + 1
-    return split
 
 
 def uniform_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
@@ -195,11 +185,34 @@ def save_schedule(schedule: SeveritySchedule, path, process_name: str = "",
             f.write(f"{t:.9g} {w:.9g}\n")
 
 
-def load_schedule(path) -> SeveritySchedule:
+def _read_text(path, header_fields: int) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header fields, then (line number, fields) of each further non-blank line."""
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    knots = tuple(tuple(float(v) for v in ln.split()) for ln in lines[1:])
-    return SeveritySchedule(knots)
+        text = f.read()
+    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    # Every writer ends the file with a newline: a file without one was cut short.
+    if (not text.endswith("\n") or not rows or len(rows[0][1]) != header_fields
+            or not rows[0][1][-1].isdigit()):
+        raise ValueError(f"{path}: truncated file or malformed header")
+    return rows[0][1], rows[1:]
+
+
+def _numbers(path, rows, count: int, width: int) -> np.ndarray:
+    """The rows as a (count, width) array; a short or malformed line names the path."""
+    if len(rows) != count:
+        raise ValueError(f"{path}: expected {count} lines after the header, got {len(rows)}")
+    for no, fields in rows:
+        if len(fields) != width:
+            raise ValueError(f"{path}: line {no}: expected {width} values, got {len(fields)}")
+    try:
+        return np.array([[float(v) for v in fields] for _, fields in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_schedule(path) -> SeveritySchedule:
+    header, rows = _read_text(path, 4)
+    return SeveritySchedule(tuple(map(tuple, _numbers(path, rows, int(header[3]) + 2, 2))))
 
 
 def save_distance_table(table: DistanceTable, path) -> None:
@@ -212,10 +225,7 @@ def save_distance_table(table: DistanceTable, path) -> None:
 
 
 def load_distance_table(path) -> DistanceTable:
-    with open(path) as f:
-        header = f.readline().split()
-        process_name, metric_name = header[0], header[1]
-        cand = np.array([float(v) for v in f.readline().split()])
-        params = np.array([float(v) for v in f.readline().split()])
-        d = np.array([[float(v) for v in f.readline().split()] for _ in cand])
-    return DistanceTable(cand, d, params, metric_name=metric_name, process_name=process_name)
+    (process_name, metric_name, size), rows = _read_text(path, 3)
+    values = _numbers(path, rows, int(size) + 2, int(size))
+    return DistanceTable(values[0], values[2:], values[1], metric_name=metric_name,
+                         process_name=process_name)

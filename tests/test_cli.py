@@ -116,6 +116,7 @@ LOAD_CASES = [
     ("sampler", "variant", "bogus", False),
     ("sampler", "variant", "SLA", False),  # no small_dt
     ("sampler", "variant", "LB", True),
+    ("process", "kernel_size", "5", False),  # removed: blur has no kernel size
 ]
 
 
@@ -222,6 +223,47 @@ def test_sample_measurement_file_shape_mismatch(tmp_path):
     write_signal(Signal(np.zeros(4), (2, 2)), str(meas))
     cfg = write_config(tmp_path, f"\n[sampler]\nmeasurement_file = {meas}\n")
     assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+
+
+def _every_cut_exits_2(tmp_path, capsys, data, extra):
+    cut = tmp_path / "cut.bin"
+    cfg = write_config(tmp_path, "\n[prior]\nshape = 2x2\n" + extra.format(path=cut))
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cut}"), err
+    cut.write_bytes(data)
+    assert run(["sample", "--config", cfg]) == cli.EXIT_OK
+
+
+def test_truncated_measurement_file_exits_2(tmp_path, capsys):
+    from dirac.core import Signal, write_signal
+
+    full = tmp_path / "full.bin"
+    write_signal(Signal(np.full(4, 0.5), (2, 2)), full)
+    _every_cut_exits_2(tmp_path, capsys, full.read_bytes(),
+                       "\n[sampler]\nmeasurement_file = {path}\n")
+
+
+def test_truncated_model_file_exits_2(tmp_path, capsys):
+    from dirac.core import squared_exponential_prior
+    from dirac.denoise import AffineDenoiser, save_model
+
+    full = tmp_path / "full.bin"
+    save_model(AffineDenoiser.initialized(squared_exponential_prior((2, 2)), n_bins=2), full)
+    _every_cut_exits_2(tmp_path, capsys, full.read_bytes(),
+                       "\n[sampler]\ndenoiser = model\nmodel_file = {path}\n")
+
+
+def test_truncated_schedule_file_exits_2(tmp_path, capsys):
+    from dirac.schedule import SeveritySchedule, save_schedule
+
+    full = tmp_path / "full.txt"
+    save_schedule(SeveritySchedule(((0.0, 0.3), (0.4, 1.1), (1.0, 3.0))), full,
+                  process_name="GaussianBlurProcess", n_candidates=11)
+    _every_cut_exits_2(tmp_path, capsys, full.read_bytes(),
+                       "\n[process]\nkind = blur\nschedule_file = {path}\n")
 
 
 def test_verify_unknown_suite(tmp_path):

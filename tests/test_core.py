@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dirac.core import (
     GaussianPrior,
@@ -123,6 +126,30 @@ def test_signal_file_roundtrip(tmp_path):
     back = read_signal(path)
     assert back.shape == s.shape
     np.testing.assert_array_equal(back.values, s.values)
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=2).flatmap(
+    lambda shape: arrays(np.float64, tuple(shape), elements=st.floats(allow_nan=False))))
+def test_signal_file_roundtrip_property(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("signal") / "sig.bin"
+    write_signal(Signal.from_array(values), path)
+    back = read_signal(path)
+    assert back.shape == values.shape
+    np.testing.assert_array_equal(back.values, values.ravel())
+
+
+def test_read_signal_refuses_every_cut(tmp_path):
+    full = tmp_path / "full.bin"
+    write_signal(Signal.from_array(RandomSource(4).normal((2, 3))), full)
+    data = full.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError, match=rf"cut.bin: expected .*\d+ bytes, got {size}$"):
+            read_signal(cut)
+    cut.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match=rf"expected {len(data)} bytes, got {len(data) + 1}"):
+        read_signal(cut)
 
 
 def test_read_signal_rejects_bad_magic(tmp_path):

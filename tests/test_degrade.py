@@ -9,6 +9,8 @@ from dirac.degrade import (
     BlendingProcess,
     GaussianBlurProcess,
     GaussianMaskInpaintProcess,
+    _IMPULSE_WIDTH,
+    _blur_variance,
     blur_kernel,
     inpaint_mask,
     lipschitz_t_estimate,
@@ -55,15 +57,20 @@ def test_blur_kernel_matches_direct_gaussian():
 
 # --- blur process --------------------------------------------------------
 
-def test_blur_default_kernel_size():
-    proc = GaussianBlurProcess(SHAPE)
-    assert proc.kernel_size == min(61, 2 * math.ceil(4 * 3.0) + 1)
+def test_blur_variance_matches_sampled_kernel():
+    # the fast v(w) is the variance of blur_kernel(w, 2*ceil(4w) + 1),
+    # including a width below _IMPULSE_WIDTH whose kernel is an impulse
+    for w in (5e-4, _IMPULSE_WIDTH, 0.3, 0.77, 1.0, 1.6, 3.0, 7.3):
+        half = math.ceil(4 * w)
+        i2 = np.arange(-half, half + 1.0) ** 2
+        expected = blur_kernel(w, 2 * half + 1) @ i2
+        assert _blur_variance(w) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert _blur_variance(5e-4) == 0.0
 
 
 def test_blur_composition_in_quadrature():
-    # quadrature composition of sampled kernels holds at the declared
-    # tolerance only once the narrower width is >~ 1.5 pixels; near-impulse
-    # sampled kernels are not closed under convolution (see decision ledger)
+    # discrete-Gaussian variances add under convolution, so transitions
+    # compose exactly at every width (widths add in quadrature only as v ~ w^2)
     proc = GaussianBlurProcess(SHAPE)
     prior = squared_exponential_prior(SHAPE)
     x = prior_sample(prior, RandomSource(0))
@@ -73,15 +80,20 @@ def test_blur_composition_in_quadrature():
         assert np.max(np.abs(direct.values - chained.values)) <= proc.composition_tol
 
 
-def test_blur_composition_degrades_at_small_widths():
-    # pins the known failure regime: from w_min = 0.3 the composition error
-    # exceeds the declared tolerance by orders of magnitude
+def test_blur_composition_exact_from_zero():
+    # near-impulse widths compose as exactly as wide ones: from t = 0
+    # (w_min = 0.3) and through an intermediate severity
     proc = GaussianBlurProcess(SHAPE)
     prior = squared_exponential_prior(SHAPE)
     x = prior_sample(prior, RandomSource(0))
-    direct = proc.apply(0.1, x)
-    chained = proc.transition(0.0, 0.1, proc.apply(0.0, x))
-    assert np.max(np.abs(direct.values - chained.values)) > 1e-2
+    y0 = proc.apply(0.0, x)
+    for t in (0.01, 0.1, 0.5, 1.0):
+        chained = proc.transition(0.0, t, y0)
+        assert np.max(np.abs(proc.apply(t, x).values - chained.values)) <= proc.composition_tol
+    two_hop = proc.transition(0.05, 1.0, proc.transition(0.0, 0.05, y0))
+    one_hop = proc.transition(0.0, 1.0, y0)
+    assert np.max(np.abs(two_hop.values - one_hop.values)) <= proc.composition_tol
+    assert proc.composition_tol == 1e-12
 
 
 def test_blur_near_identity_at_zero():
@@ -109,16 +121,36 @@ def test_blur_linearity():
 
 
 def test_blur_kernel_longer_than_axis_wraps():
-    proc = GaussianBlurProcess((8, 8))  # kernel 25 > side 8
+    # at w = 3 the variance (~9) spreads the kernel past the 8-pixel side; on
+    # the periodic grid the DFT multiplier is 1 at k = 0, so mass is conserved
+    proc = GaussianBlurProcess((8, 8))
     ones = Signal.from_array(np.ones((8, 8)))
     out = proc.apply(1.0, ones)
     np.testing.assert_allclose(out.values, 1.0, atol=1e-12)  # mass conserved
+
+
+def test_blur_is_symmetric():
+    proc = GaussianBlurProcess((6, 5))
+    block = RandomSource(13).normal((30, 4))
+    for t in (0.0, 0.37, 1.0):
+        np.testing.assert_array_equal(proc.matvec(t, block), proc.rmatvec(t, block))
+        m = proc.as_matrix(t)
+        np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.1, 0.2, 0.3])
+def test_blur_lipschitz_is_one_at_32x32(t):
+    # the top eigenvalues of M^T M nearly coincide at 32x32, which stalls a
+    # power iteration; the closed form needs none
+    assert GaussianBlurProcess((32, 32)).lipschitz_x(t) == 1.0
 
 
 def test_blur_severity_range_checked():
     proc = GaussianBlurProcess(SHAPE)
     with pytest.raises(ValueError):
         proc.apply(1.5, _rand_signal(0))
+    with pytest.raises(ValueError):
+        proc.lipschitz_x(1.5)
 
 
 # --- inpainting ----------------------------------------------------------
@@ -141,6 +173,14 @@ def test_inpaint_mask_matches_direct_formula():
     f = np.exp(-(((ii - 3) ** 2 + (jj - 3) ** 2)) / (2 * w * w))
     direct = (1.0 - f / f.max()) ** k
     np.testing.assert_allclose(m, direct, rtol=1e-12)
+
+
+def test_inpaint_mask_finite_for_off_grid_centre():
+    # the bump underflows at every pixel at small widths; no 0/0
+    m = GaussianMaskInpaintProcess((6, 6), center=(2.5, 3.2)).mask(1 / 256).values
+    assert np.all(np.isfinite(m))
+    assert np.all((m >= 0.0) & (m <= 1.0))
+    assert np.all(np.isfinite(inpaint_mask(1e-3, 4, (6, 6), (2.5, 3.2)).values))
 
 
 def test_inpaint_composition_exact():
@@ -188,8 +228,7 @@ def test_inpaint_sharpness_checked_at_construction():
         GaussianMaskInpaintProcess(SHAPE, k=0)
 
 
-def test_inpaint_memory_does_not_grow_with_severities():
-    proc = GaussianMaskInpaintProcess((8, 8))
+def _memory_growth_over_severities(proc):
     x = _rand_signal(3, (8, 8))
     proc.apply(0.5, x)
     tracemalloc.start()
@@ -197,10 +236,18 @@ def test_inpaint_memory_does_not_grow_with_severities():
         before = tracemalloc.get_traced_memory()[0]
         for i in range(5000):
             proc.apply((i + 0.5) / 5000, x)
-        grown = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert grown < 1_000_000
+
+
+def test_inpaint_memory_does_not_grow_with_severities():
+    assert _memory_growth_over_severities(GaussianMaskInpaintProcess((8, 8))) < 1_000_000
+
+
+def test_blur_memory_does_not_grow_with_severities():
+    # the blur keeps per-axis tables only, nothing per width
+    assert _memory_growth_over_severities(GaussianBlurProcess((8, 8))) < 1_000_000
 
 
 def test_inpaint_lipschitz_is_max_mask():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
@@ -335,6 +338,29 @@ def test_model_roundtrip(tmp_path):
     back = load_model(path)
     np.testing.assert_array_equal(back.d, model.d)
     np.testing.assert_array_equal(back.c, model.c)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda bn: st.tuples(arrays(np.float64, (bn[0], bn[1], bn[1])),
+                         arrays(np.float64, bn))))
+def test_model_roundtrip_property(tmp_path_factory, dc):
+    d, c = dc
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(AffineDenoiser(d, c), path)
+    back = load_model(path)
+    np.testing.assert_array_equal(back.d, d)
+    np.testing.assert_array_equal(back.c, c)
+
+
+def test_load_model_refuses_every_cut(tmp_path):
+    full = tmp_path / "full.bin"
+    save_model(AffineDenoiser.initialized(squared_exponential_prior((2, 2)), n_bins=2), full)
+    data = full.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError, match=rf"cut.bin: expected .*\d+ bytes, got {size}$"):
+            load_model(cut)
 
 
 def test_model_rejects_bad_magic(tmp_path):

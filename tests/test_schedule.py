@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dirac.core import RandomSource, Signal, prior_sample, squared_exponential_prior
 from dirac.degrade import GaussianBlurProcess, GaussianMaskInpaintProcess
@@ -69,6 +71,19 @@ def test_interpolate_monotone_on_grid():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), unique=True,
+                max_size=6),
+       st.lists(st.floats(0.0, 1e3), min_size=8, max_size=8),
+       st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0]))
+def test_interpolate_bit_identical_to_np_interp(inner, steps, t):
+    ts = [0.0, *sorted(inner), 1.0]
+    ws = list(np.cumsum(steps[: len(ts)]))
+    sched = SeveritySchedule(tuple(zip(ts, ws)))
+    assert sched.interpolate(t) == float(np.interp(t, ts, ws))
+    for knot_t, knot_w in sched.knots:
+        assert sched.interpolate(knot_t) == knot_w
+
+
 # --- distances -------------------------------------------------------------
 
 def test_pairwise_distance_zero_for_equal_severities():
@@ -127,10 +142,16 @@ def test_greedy_linear_table_splits_middle():
     assert [t for t, _ in sched.knots] == [0.0, 0.5, 1.0]
 
 
+def test_min_max_ties_break_toward_smallest_index():
+    # on d(i, j) = |i - j| over 5 candidates, knots {1, 2}, {1, 3} and {2, 3}
+    # all reach the optimum 2; backtracking takes the smallest index each time
+    sched = greedy_schedule(_index_table(5), 2)
+    assert [t for t, _ in sched.knots] == [0.0, 0.25, 0.5, 1.0]
+
+
 def test_greedy_against_brute_force_small():
-    # greedy dominates the exhaustive optimum by a bounded factor; it is not
-    # exactly optimal for m >= 2 (sequential splits cannot be revised), the
-    # worst observed factor on these tables is ~1.29
+    # the schedule is the exact min-max optimum (criterion 07 checks equality);
+    # these bounds are the weaker ones every schedule must meet
     rng = RandomSource(3)
     prior = squared_exponential_prior((6, 6))
     data = [prior_sample(prior, rng.split(i)) for i in range(4)]
@@ -148,6 +169,35 @@ def test_greedy_against_brute_force_small():
                 if m == 1:
                     # a single split is exhaustive by construction
                     assert greedy_max == pytest.approx(optimum, rel=1e-12)
+
+
+@st.composite
+def _tables_and_m(draw):
+    """Symmetric tables with zero diagonal on N <= 9 candidates, m <= 4; integer
+    entries make ties common."""
+    n = draw(st.integers(3, 9))
+    entry = st.integers(0, 12).map(float) | st.floats(0.0, 12.0)
+    upper = draw(st.lists(entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    table = DistanceTable(np.linspace(0, 1, n), d + d.T, np.linspace(0, 1, n))
+    return table, draw(st.integers(0, min(4, n - 2)))
+
+
+@given(_tables_and_m())
+def test_min_max_schedule_is_exact(case):
+    table, m = case
+    sched = greedy_schedule(table, m)
+    idx_of = {round(float(t), 12): i for i, t in enumerate(table.candidates)}
+    sel = [idx_of[round(t, 12)] for t, _ in sched.knots]
+    assert len(sel) == m + 2 and sel[0] == 0 and sel[-1] == table.size - 1
+    optimum = _brute_force_minmax(table, m)
+    assert max_edge_distance(table, sel) == optimum
+    uniform = uniform_schedule(table, m)
+    assert optimum <= max_edge_distance(table, [idx_of[round(t, 12)] for t, _ in uniform.knots])
+    if sched.warning is None:
+        assert sched.max_edge_trace == tuple(_brute_force_minmax(table, i) for i in range(m + 1))
+    assert greedy_schedule(table, m) == sched  # reruns pick the same knots
 
 
 def test_greedy_trace_non_increasing():
@@ -213,6 +263,77 @@ def test_schedule_file_roundtrip_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     back = load_schedule(p1)
     assert back.knots == sched.knots
+
+
+@st.composite
+def _schedules(draw):
+    """Schedules whose values have at most 9 significant digits, so the text
+    format carries them exactly."""
+    ts = sorted(draw(st.lists(st.integers(1, 999_999), unique=True, max_size=6)))
+    steps = draw(st.lists(st.integers(0, 100_000), min_size=len(ts) + 2, max_size=len(ts) + 2))
+    ws = np.cumsum(steps) / 1000
+    return SeveritySchedule(tuple(zip([0.0, *(t / 1e6 for t in ts), 1.0], ws)))
+
+
+@given(_schedules())
+def test_schedule_file_roundtrip_property(tmp_path_factory, sched):
+    path = tmp_path_factory.mktemp("schedule") / "schedule.txt"
+    save_schedule(sched, path, process_name="GaussianBlurProcess", n_candidates=101)
+    assert load_schedule(path).knots == sched.knots
+
+
+@st.composite
+def _distance_tables(draw):
+    n = draw(st.integers(2, 6))
+    milli = st.integers(0, 10**6).map(lambda v: v / 1000)
+    upper = draw(st.lists(milli, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    cand = draw(st.lists(milli, min_size=n, max_size=n))
+    params = draw(st.lists(milli, min_size=n, max_size=n))
+    name = draw(st.sampled_from(["GaussianBlurProcess", "GaussianMaskInpaintProcess"]))
+    return DistanceTable(cand, d + d.T, params, metric_name="rmse", process_name=name)
+
+
+@given(_distance_tables())
+def test_distance_table_roundtrip_property(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "table.txt"
+    save_distance_table(table, path)
+    back = load_distance_table(path)
+    for field in ("candidates", "d", "params"):
+        np.testing.assert_array_equal(getattr(back, field), getattr(table, field))
+    assert (back.metric_name, back.process_name) == (table.metric_name, table.process_name)
+
+
+def _every_cut_refused(tmp_path, data, load):
+    cut = tmp_path / "cut.txt"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError, match="cut.txt"):
+            load(cut)
+
+
+def test_schedule_file_every_cut_refused(tmp_path):
+    full = tmp_path / "full.txt"
+    save_schedule(SeveritySchedule(((0.0, 0.0), (0.31, 0.52), (1.0, 1.6))), full,
+                  process_name="inpaint", n_candidates=11)
+    _every_cut_refused(tmp_path, full.read_bytes(), load_schedule)
+
+
+def test_distance_table_every_cut_refused(tmp_path):
+    full = tmp_path / "full.txt"
+    save_distance_table(_index_table(3), full)
+    _every_cut_refused(tmp_path, full.read_bytes(), load_distance_table)
+
+
+def test_text_loaders_name_malformed_lines(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("inpaint rmse 11 1\n0 0\n0.5\n1 1.6\n")
+    with pytest.raises(ValueError, match=r"bad.txt: line 3: expected 2 values, got 1"):
+        load_schedule(path)
+    path.write_text("inpaint rmse 2\n0 1\n0 1\n0 x\n1 0\n")
+    with pytest.raises(ValueError, match=r"bad.txt: could not convert string to float: 'x'"):
+        load_distance_table(path)
 
 
 def test_distance_table_roundtrip(tmp_path):
