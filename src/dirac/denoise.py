@@ -2,9 +2,9 @@
 
 The score network is parameterized through a clean-image predictor Phi:
 s(y, t) = (A_t(Phi(y, t)) - y) / sigma_t^2. For Gaussian priors with affine
-degradations the exact posterior mean is affine in y at each severity, but
-its gain changes with t, so a per-severity-bin affine family can only
-approximate it within a bin.
+degradations the exact posterior mean is affine in y at each severity (the
+oracle solves it in information form, on scipy's BLAS alone), but its gain
+changes with t, so a per-severity-bin affine family can only approximate it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .core import GaussianPrior, RandomSource, Signal, check_length, prior_sample, read_binary
 from .degrade import DegradationProcess
@@ -53,16 +53,16 @@ class Denoiser(ABC):
 
 
 class OracleDenoiser(Denoiser):
-    """Closed-form posterior mean E[x0 | y_t] for a Gaussian prior.
+    """Closed-form posterior mean E[x0 | y_t] for a Gaussian prior N(mu, Sigma).
 
-    estimate(y, t) = mu + Sigma M^T S^{-1} (y - A_t(mu)) with
-    S = M Sigma M^T + sigma_t^2 I; the Jacobian is the constant gain matrix,
-    so vjp is exact. S is built from the operator's structure, as
-    matvec(t, matvec(t, Sigma)^T) with sigma_t^2 added on its diagonal, and
-    never forms the dense M. Each severity's gain is solved once from a
-    Cholesky factor of S and cached. A severity where S is singular (the
-    noiseless limit sigma_t = 0 with an operator that zeroes entries) raises
-    ValueError.
+    estimate(y, t) = mu + H_t^{-1} M^T (y - A_t(mu)), H_t = sigma_t^2 Sigma^{-1} + M^T M: the
+    information form of the gain Sigma M^T (M Sigma M^T + sigma_t^2 I)^{-1} (Bishop, PRML
+    2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1}
+    is formed on the first cold severity and M^T M from matvec/rmatvec; each severity caches
+    the lower triangle of H_t^{-1}. At sigma_t = 0 the form stays exact where M^T M is
+    positive definite; a singular H_t (an operator that zeroes entries) raises ValueError
+    naming t and sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: numpy bundles a
+    second OpenBLAS, whose pool a numpy `@` here would wake to spin against scipy's.
     """
 
     supports_vjp = True
@@ -71,30 +71,30 @@ class OracleDenoiser(Denoiser):
         self.prior = prior
         self.proc = proc
         self.noise = noise
-        self._gain_cache: dict[float, np.ndarray] = {}
+        self._precision: np.ndarray | None = None
+        self._inverse_cache: dict[float, np.ndarray] = {}
 
-    def _gain(self, t: float) -> np.ndarray:
-        if t not in self._gain_cache:
+    def _solve(self, t: float, x: np.ndarray) -> np.ndarray:
+        """H_t^{-1} x, factoring H_t on the first call at t."""
+        if t not in self._inverse_cache:
+            if self._precision is None:
+                self._precision = lapack.dpotri(self.prior.cholesky_factor, lower=1)[0]
             s = self.noise.sigma(t)
-            m_sigma = self.proc.matvec(t, self.prior.covariance)
-            cov = self.proc.matvec(t, m_sigma.T)
-            cov[np.diag_indices_from(cov)] += s * s
-            try:
-                factor = scipy.linalg.cho_factor(cov, overwrite_a=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise ValueError(
-                    f"posterior system not positive definite at t={t:.6g}, sigma_t={s:.6g}"
-                ) from exc
-            # K = Sigma M^T S^{-1}, solved as S K^T = M Sigma.
-            self._gain_cache[t] = scipy.linalg.cho_solve(factor, m_sigma).T
-        return self._gain_cache[t]
+            # M^T M is symmetric; its transpose is in Fortran order, which LAPACK works in
+            h = self.proc.rmatvec(t, self.proc.matvec(t, np.eye(self.prior.n))).T
+            h += s * s * self._precision
+            chol, info = lapack.dpotrf(h, lower=1, overwrite_a=1)
+            if info:
+                raise ValueError(f"posterior not positive definite at t={t:.6g}, sigma_t={s:.6g}")
+            self._inverse_cache[t] = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
+        return blas.dsymv(1.0, self._inverse_cache[t], x, lower=1)
 
     def estimate(self, y: Signal, t: float) -> Signal:
         resid = y.values - self.proc.apply(t, self.prior.mean).values
-        return y.with_values(self.prior.mean.values + self._gain(t) @ resid)
+        return y.with_values(self.prior.mean.values + self._solve(t, self.proc.rmatvec(t, resid)))
 
     def vjp(self, y: Signal, t: float, v: Signal) -> Signal:
-        return v.with_values(self._gain(t).T @ v.values)
+        return v.with_values(self.proc.matvec(t, self._solve(t, v.values)))
 
 
 class GroundTruthDenoiser(Denoiser):

@@ -105,20 +105,42 @@ def test_oracle_tweedie_identity_all_processes():
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1e-12)
 
 
-@pytest.mark.parametrize("shape", [(10,), (6, 6)])
+@pytest.mark.parametrize("shape", [(10,), (6, 6), (16, 16)])
 def test_oracle_gain_matches_dense_solve(shape):
+    # estimate and vjp apply K = Sigma M^T S^{-1}, S = M Sigma M^T + sigma_t^2 I,
+    # with K from a dense solve of the covariance form
     prior = squared_exponential_prior(shape)
-    noise = NoiseSchedule()
     anchor = prior_sample(prior, RandomSource(10))
-    for proc in (GaussianBlurProcess(shape), GaussianMaskInpaintProcess(shape),
-                 BlendingProcess(anchor)):
+    y, v = prior_sample(prior, RandomSource(11)), prior_sample(prior, RandomSource(12))
+    noisy, noiseless = NoiseSchedule(), NoiseSchedule(0.0, 0.0)
+    cases = [(GaussianBlurProcess(shape), noisy, (0.0, 0.37, 1.0)),
+             (GaussianMaskInpaintProcess(shape), noisy, (0.0, 0.37, 1.0)),
+             (BlendingProcess(anchor), noisy, (0.0, 0.37, 1.0)),
+             (BlendingProcess(anchor), noiseless, (0.0, 0.37))]
+    for proc, noise, severities in cases:
         oracle = OracleDenoiser(prior, proc, noise)
-        for t in (0.0, 0.37, 1.0):
+        for t in severities:
             m = proc.as_matrix(t)
             cov_yy = m @ prior.covariance @ m.T + noise.sigma(t) ** 2 * np.eye(prior.n)
-            expected = np.linalg.solve(cov_yy, m @ prior.covariance).T
-            got = oracle._gain(t)
+            gain = np.linalg.solve(cov_yy, m @ prior.covariance).T
+            expected = gain @ (y.values - proc.apply(t, prior.mean).values)
+            got = oracle.estimate(y, t).values - prior.mean.values
             assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+            expected = gain.T @ v.values
+            got = oracle.vjp(y, t, v).values
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_noiseless_oracle_refuses_singular_posterior():
+    shape = (8, 8)
+    prior = squared_exponential_prior(shape)
+    oracle = OracleDenoiser(prior, GaussianMaskInpaintProcess(shape), NoiseSchedule(0.0, 0.0))
+    y = prior_sample(prior, RandomSource(0))
+    # A_0 = I: the noiseless posterior mean is the measurement itself
+    np.testing.assert_allclose(oracle.estimate(y, 0.0).values, y.values, atol=1e-10)
+    # the mask zeroes the centre pixel, so M^T M is singular
+    with pytest.raises(ValueError, match=r"t=0\.5, sigma_t=0$"):
+        oracle.estimate(y, 0.5)
 
 
 def test_oracle_vjp_is_gain_transpose(setup):
