@@ -71,7 +71,6 @@ from .verify import (
     eps_dc,
     perception_distortion_sweep,
     robustness_sweep,
-    verify_theorem_bound,
     verify_theorem_bounds,
     verify_theorem_dc,
 )

@@ -87,7 +87,7 @@ _SCHEMA = {
         "w_min": (float, _positive, 0.3),
         "w_max": (float, _positive, 3.0),
         "k": (int, _positive, 4),
-        "w_final": (float, _positive, 0.0),  # 0 = auto (0.2 * max side)
+        "w_final": (float, _nonneg, 0.0),  # 0 = auto (0.2 * max side)
         "anchor_seed": (int, _nonneg, 1),
         "schedule_file": (str, None, ""),
     },
@@ -396,7 +396,7 @@ def _suite_thm34(config, prior, noise, procs):
     trials = config["verify"]["trials"]
     total_viol = 0
     for proc in procs.values():
-        reports = verify_theorem_bounds(proc, noise, prior, 0.05, (0.0, 0.05, 0.1), trials)
+        reports = verify_theorem_bounds(proc, prior, 0.05, (0.0, 0.05, 0.1), trials)
         total_viol += sum(report.violations for report in reports)
     return total_viol == 0, f"{total_viol} bound violations"
 

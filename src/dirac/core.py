@@ -70,6 +70,7 @@ class Signal:
 class GaussianPrior:
     """Gaussian data model N(mean, covariance) over signals.
 
+    ``cholesky_factor`` and ``entry_bound`` are computed, not passed.
     ``entry_bound`` is the radius B such that samples are treated as
     entrywise bounded for error-bound audits; samples exceeding it are
     rejected by those audits rather than clipped.
@@ -77,8 +78,8 @@ class GaussianPrior:
 
     mean: Signal
     covariance: np.ndarray
-    cholesky_factor: np.ndarray = field(default=None)
-    entry_bound: float = field(default=None)
+    cholesky_factor: np.ndarray = field(init=False)
+    entry_bound: float = field(init=False)
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=np.float64)
@@ -91,17 +92,11 @@ class GaussianPrior:
             raise ValueError("covariance eigenvalues must be >= 1e-9")
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
-        if self.cholesky_factor is None:
-            chol = np.linalg.cholesky(cov)
-        else:
-            chol = np.asarray(self.cholesky_factor, dtype=np.float64)
-        if np.max(np.abs(chol @ chol.T - cov)) > 1e-10:
-            raise ValueError("cholesky_factor does not reproduce covariance within 1e-10")
+        chol = np.linalg.cholesky(cov)
         chol.setflags(write=False)
         object.__setattr__(self, "cholesky_factor", chol)
-        if self.entry_bound is None:
-            bound = np.max(np.abs(self.mean.values)) + 4.0 * np.sqrt(np.max(np.diag(cov)))
-            object.__setattr__(self, "entry_bound", float(bound))
+        bound = np.max(np.abs(self.mean.values)) + 4.0 * np.sqrt(np.max(np.diag(cov)))
+        object.__setattr__(self, "entry_bound", float(bound))
 
     @property
     def n(self) -> int:

@@ -36,6 +36,7 @@ __all__ = [
 
 _MODEL_MAGIC = b"DIRACMDL"
 _MODEL_VERSION = 1
+_EPS = np.finfo(float).eps
 
 
 class Denoiser(ABC):
@@ -60,8 +61,9 @@ class OracleDenoiser(Denoiser):
     2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1}
     is formed on the first cold severity and M^T M from matvec/rmatvec; each severity caches
     the lower triangle of H_t^{-1}. At sigma_t = 0 the form stays exact where M^T M is
-    positive definite; a singular H_t (an operator that zeroes entries) raises ValueError
-    naming t and sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: numpy bundles a
+    positive definite; a singular H_t (an operator that zeroes entries), or at sigma_t = 0
+    one singular to working precision (blur at high severity), raises ValueError naming t
+    and sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: numpy bundles a
     second OpenBLAS, whose pool a numpy `@` here would wake to spin against scipy's.
     """
 
@@ -83,8 +85,11 @@ class OracleDenoiser(Denoiser):
             # M^T M is symmetric; its transpose is in Fortran order, which LAPACK works in
             h = self.proc.rmatvec(t, self.proc.matvec(t, np.eye(self.prior.n))).T
             h += s * s * self._precision
+            anorm = lapack.dlange("1", h) if s == 0.0 else 0.0
             chol, info = lapack.dpotrf(h, lower=1, overwrite_a=1)
-            if info:
+            # without noise nothing regularizes M^T M: also refuse it when singular to working
+            # precision (reciprocal condition number below machine epsilon), as xGESVX does
+            if info or (s == 0.0 and lapack.dpocon(chol, anorm, uplo="L")[0] < _EPS):
                 raise ValueError(f"posterior not positive definite at t={t:.6g}, sigma_t={s:.6g}")
             self._inverse_cache[t] = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
         return blas.dsymv(1.0, self._inverse_cache[t], x, lower=1)

@@ -45,7 +45,12 @@ from dirac.schedule import (
     uniform_schedule,
 )
 from dirac.sdp import NoiseSchedule, marginal_score, sdp_sample
-from dirac.verify import eps_dc, perception_distortion_sweep, verify_theorem_bound, verify_theorem_dc
+from dirac.verify import (
+    eps_dc,
+    perception_distortion_sweep,
+    verify_theorem_bounds,
+    verify_theorem_dc,
+)
 
 SIGMA1_SQ = 0.0025
 
@@ -160,13 +165,12 @@ def test_criterion_04_perception_distortion_shape():
 def test_criterion_05_error_bound_audit():
     shape = (8, 8)
     prior = squared_exponential_prior(shape)
-    noise = NoiseSchedule()
+    levels = (0.0, 0.05, 0.1)
     total_violations = 0
     details = []
     for name, proc in _processes(shape, prior).items():
-        for eps_err in (0.0, 0.05, 0.1):
-            report = verify_theorem_bound(proc, noise, prior, delta_t=0.1,
-                                          eps_err=eps_err, trials=200)
+        reports = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=levels, trials=200)
+        for eps_err, report in zip(levels, reports):
             total_violations += report.violations
             details.append(f"{name}/eps={eps_err}: {report.violations} violations")
     ok = total_violations == 0

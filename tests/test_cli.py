@@ -117,6 +117,8 @@ LOAD_CASES = [
     ("sampler", "variant", "SLA", False),  # no small_dt
     ("sampler", "variant", "LB", True),
     ("process", "kernel_size", "5", False),  # removed: blur has no kernel size
+    ("process", "w_final", "0", True),  # 0 = auto
+    ("process", "w_final", "-1", False),
 ]
 
 

@@ -143,6 +143,28 @@ def test_noiseless_oracle_refuses_singular_posterior():
         oracle.estimate(y, 0.5)
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (16, 16)], ids=["6x6", "16x16"])
+def test_noiseless_oracle_refuses_numerically_singular_posterior(shape):
+    # noiseless blur at t = 0.7 factors (M^T M is positive definite in floating point) but
+    # its reciprocal condition number is ~1e-17, so the estimate would be rounding noise
+    prior = squared_exponential_prior(shape)
+    y = prior_sample(prior, RandomSource(0))
+    noiseless = NoiseSchedule(0.0, 0.0)
+    blur = OracleDenoiser(prior, GaussianBlurProcess(shape), noiseless)
+    with pytest.raises(ValueError, match=r"t=0\.7, sigma_t=0$"):
+        blur.estimate(y, 0.7)
+    # reciprocal condition numbers 1.4e-6 (noiseless blur at t = 0.37), 1 (noiseless
+    # blending) and >= 1e-6 (every family with the default noise) are accepted
+    blur.estimate(y, 0.37)
+    blend = BlendingProcess(prior_sample(prior, RandomSource(99)))
+    for t in (0.37, 0.7):
+        OracleDenoiser(prior, blend, noiseless).estimate(y, t)
+    for proc in (GaussianBlurProcess(shape), GaussianMaskInpaintProcess(shape), blend):
+        oracle = OracleDenoiser(prior, proc, NoiseSchedule())
+        for t in (0.37, 0.7, 1.0):
+            assert np.all(np.isfinite(oracle.estimate(y, t).values))
+
+
 def test_oracle_vjp_is_gain_transpose(setup):
     prior, proc, noise = setup
     oracle = OracleDenoiser(prior, proc, noise)

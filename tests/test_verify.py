@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirac.core import RandomSource, mse, prior_sample, squared_exponential_prior
+from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import GroundTruthDenoiser, OracleDenoiser
 from dirac.sampler import SamplerConfig
@@ -11,7 +11,6 @@ from dirac.verify import (
     eps_dc,
     perception_distortion_sweep,
     robustness_sweep,
-    verify_theorem_bound,
     verify_theorem_bounds,
     verify_theorem_dc,
 )
@@ -100,15 +99,15 @@ def test_theorem_dc_deterministic(setup):
 
 
 def test_theorem_bound_exact_oracle_gives_zero_lhs(setup):
-    prior, proc, noise, _ = setup
-    report = verify_theorem_bound(proc, noise, prior, delta_t=0.1, eps_err=0.0, trials=20)
+    prior, proc, _, _ = setup
+    report = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=(0.0,), trials=20)[0]
     assert report.passed
     assert report.max_lhs == 0.0
 
 
 def test_theorem_bound_perturbed_oracle(setup):
-    prior, proc, noise, _ = setup
-    report = verify_theorem_bound(proc, noise, prior, delta_t=0.1, eps_err=0.05, trials=40)
+    prior, proc, _, _ = setup
+    report = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=(0.05,), trials=40)[0]
     assert report.passed
     assert report.violations == 0
     assert report.max_lhs > 0.0
@@ -117,21 +116,72 @@ def test_theorem_bound_perturbed_oracle(setup):
     assert all(l <= r for l, r in zip(report.lhs_values, report.rhs_values))
 
 
-@pytest.mark.parametrize("kind", ["blur", "inpaint", "blending"])
-def test_theorem_bounds_equal_separate_audits(setup, kind):
-    # one pass over the error levels reports exactly what one call per level does
-    prior, _, noise, _ = setup
-    proc = {
+def _bound_process(kind, prior):
+    return {
         "blur": lambda: GaussianBlurProcess(SHAPE),
         "inpaint": lambda: GaussianMaskInpaintProcess(SHAPE),
         "blending": lambda: BlendingProcess(prior_sample(prior, RandomSource(99))),
     }[kind]()
+
+
+@pytest.mark.parametrize("kind", ["blur", "inpaint", "blending"])
+def test_theorem_bounds_equal_separate_audits(setup, kind):
+    # one pass over the error levels reports exactly what one call per level does
+    prior = setup[0]
+    proc = _bound_process(kind, prior)
     levels = (0.0, 0.05, 0.1)
-    joint = verify_theorem_bounds(proc, noise, prior, 0.05, levels, trials=12, base_seed=4)
-    separate = [verify_theorem_bound(proc, noise, prior, 0.05, eps, trials=12, base_seed=4)
+    joint = verify_theorem_bounds(proc, prior, 0.05, levels, trials=12, base_seed=4)
+    separate = [verify_theorem_bounds(proc, prior, 0.05, (eps,), trials=12, base_seed=4)[0]
                 for eps in levels]
     assert joint == separate
     assert joint[0].lhs_values and joint[0].lhs_values != joint[1].lhs_values
+
+
+@pytest.mark.parametrize("kind", ["blur", "inpaint", "blending"])
+def test_theorem_bounds_solve_no_posterior(setup, kind, monkeypatch):
+    def refuse(self, y, t):
+        raise AssertionError("the bound audit solved a posterior")
+
+    monkeypatch.setattr(OracleDenoiser, "estimate", refuse)
+    prior = setup[0]
+    reports = verify_theorem_bounds(_bound_process(kind, prior), prior, 0.1, (0.0, 0.1), trials=8)
+    assert reports[1].max_lhs > 0.0
+
+
+@pytest.mark.parametrize("kind", ["blur", "inpaint", "blending"])
+def test_theorem_bounds_lhs_matches_perturbed_oracle(setup, kind):
+    # LHS = ||R_hat - R*|| with Phi* the posterior mean and Phi_hat = Phi* + eps u / ||M_t u||,
+    # rebuilt from each trial's streams: 0 (x0, entry-bound skip), 1 (t), 2 (y), 3 (u)
+    prior, _, noise, _ = setup
+    proc = _bound_process(kind, prior)
+    delta_t, levels, trials = 0.1, (0.0, 0.05, 0.1), 30
+    reports = verify_theorem_bounds(proc, prior, delta_t, levels, trials, base_seed=2)
+    oracle = OracleDenoiser(prior, proc, noise)
+    rng = RandomSource(2)
+    expected = [[] for _ in levels]
+    for trial in range(trials):
+        sub = rng.split(trial)
+        x0 = prior_sample(prior, sub.split(0))
+        if np.max(np.abs(x0.values)) > prior.entry_bound:
+            continue
+        t = float(sub.split(1).uniform())
+        tau = max(t - delta_t, 0.0)
+        mmse = oracle.estimate(sdp_sample(proc, noise, x0, t, sub.split(2)), t).values
+        u_rng = sub.split(3)
+        u = u_rng.normal(prior.n)
+        while np.linalg.norm(proc.matvec(t, u)) < 1e-12:
+            u = u_rng.normal(prior.n)
+        delta = u / np.linalg.norm(proc.matvec(t, u))
+
+        def r(phi):
+            est = Signal(phi, SHAPE)
+            return proc.apply(tau, est).values - proc.apply(t, est).values
+
+        for eps, lhs in zip(levels, expected):
+            lhs.append(float(np.linalg.norm(r(mmse + eps * delta) - r(mmse))))
+    for report, lhs in zip(reports, expected):
+        assert len(lhs) > trials // 2
+        np.testing.assert_allclose(report.lhs_values, lhs, rtol=0, atol=1e-14)
 
 
 def test_pd_sweep_shapes_and_determinism(setup):
