@@ -39,6 +39,7 @@ from .denoise import (
 from .sampler import SamplerConfig, dirac_sample, write_trajectory_csv
 from .schedule import (
     build_distance_table,
+    check_knot_count,
     greedy_schedule,
     load_schedule,
     max_edge_distance,
@@ -151,7 +152,8 @@ def load_config(path) -> dict:
 
     Unknown sections or keys abort; every value is range-checked, the
     [noise] and [sampler] sections by building NoiseSchedule and
-    SamplerConfig from them; every referenced file must exist.
+    SamplerConfig from them and [schedule] m by check_knot_count; every
+    referenced file must exist.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
@@ -186,7 +188,9 @@ def load_config(path) -> dict:
         ref = config[section][key]
         if ref and not os.path.isfile(ref):
             raise ConfigError(f"[{section}] {key}: file not found: {ref}")
-    for section, build in (("noise", build_noise), ("sampler", build_sampler_config)):
+    knots = lambda c: check_knot_count(c["schedule"]["m"], c["schedule"]["n_candidates"])
+    for section, build in (("noise", build_noise), ("sampler", build_sampler_config),
+                           ("schedule", knots)):
         try:
             build(config)
         except ValueError as exc:

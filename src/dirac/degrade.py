@@ -169,7 +169,6 @@ class GaussianBlurProcess(DegradationProcess):
     relative deviation on prior samples.
     """
 
-    composition_tol = 1e-12
     identity_tol = 0.05
 
     def __init__(
@@ -283,9 +282,6 @@ class GaussianMaskInpaintProcess(DegradationProcess):
     to inpaint_mask), so the process keeps no per-severity state.
     """
 
-    composition_tol = 1e-12
-    identity_tol = 1e-12
-
     def __init__(
         self,
         shape: tuple[int, ...],
@@ -354,9 +350,6 @@ class BlendingProcess(DegradationProcess):
     degradation operator's analytic form is never used, which is the point
     of this parametrization.
     """
-
-    composition_tol = 1e-12
-    identity_tol = 1e-12
 
     def __init__(self, anchor: Signal):
         self.anchor = anchor

@@ -191,7 +191,7 @@ def loss_incremental(den: Denoiser, proc, noise, delta_t: float, batch) -> float
         if s == 0.0:
             raise ValueError("loss weighting 1/sigma_t^2 undefined at sigma_t = 0")
         tau = max(t - delta_t, 0.0)
-        diff = proc.apply(tau, den.estimate(y_t, t)).values - proc.apply(tau, x0).values
+        diff = proc.matvec(tau, den.estimate(y_t, t).values - x0.values)  # offsets cancel
         total += float(diff @ diff) / (s * s)
     return total / len(batch)
 

@@ -13,6 +13,7 @@ and noise-injection terms are disabled (noiseless limit).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -212,13 +213,9 @@ def dirac_sample(
     rng = RandomSource(config.seed)
     traj = Trajectory()
     y = y_tilde
-    n_steps = math.floor(1.0 / config.delta_t)
-    i = 0
-    while True:
+    for i in itertools.count():
         t = _snap(1.0 - config.delta_t * i)
         if t <= config.t_stop + _T_EPS:
-            break
-        if i > n_steps:  # defensive; the grid never exceeds this
             break
         x_hat = den.estimate(y, t)
         eps_dc = mse(y_tilde, proc.apply(1.0, x_hat))
@@ -254,7 +251,6 @@ def dirac_sample(
             traj.aborted = True
             traj.output = y
             return traj
-        i += 1
     if config.output_mode == "posterior_mean" and traj.steps:
         traj.output = traj.steps[-1].estimate
     else:

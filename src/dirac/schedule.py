@@ -14,6 +14,7 @@ __all__ = [
     "rmse_metric",
     "pairwise_distance",
     "build_distance_table",
+    "check_knot_count",
     "greedy_schedule",
     "uniform_schedule",
     "max_edge_distance",
@@ -95,38 +96,48 @@ class DistanceTable:
         return self.candidates.size
 
 
-def rmse_metric(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+def rmse_metric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """RMS difference over the last axis, leading axes broadcast: the row contract of
+    every metric=. Two vectors give a scalar; (S, n) against (k, S, n) gives (k, S)."""
+    return np.sqrt(np.mean((a - b) ** 2, axis=-1))
+
+
+def _degraded(proc, ts, dataset) -> np.ndarray:
+    """(len(ts), S, n) block: every sample of the dataset degraded at every severity."""
+    if len(dataset) == 0:
+        raise ValueError("dataset must be non-empty")
+    out = np.empty((len(ts), len(dataset), dataset[0].n))
+    for i, s in np.ndindex(out.shape[:2]):
+        out[i, s] = proc.apply(ts[i], dataset[s]).values
+    return out
 
 
 def pairwise_distance(proc, t_i: float, t_j: float, dataset, metric=rmse_metric) -> float:
-    """Mean of metric over corresponding degraded pairs of the dataset."""
-    if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
-    total = 0.0
-    for x in dataset:
-        total += metric(proc.apply(t_i, x).values, proc.apply(t_j, x).values)
-    return total / len(dataset)
+    """Mean of metric over the dataset's degraded pairs: one row-contract call on two
+    stacked (S, n) blocks, the very expression of a build_distance_table entry."""
+    at_i, at_j = _degraded(proc, (t_i, t_j), dataset)
+    return float(np.mean(metric(at_i, at_j), axis=-1))
 
 
 def build_distance_table(
     proc, dataset, n_candidates: int = 101, metric=rmse_metric, metric_name: str = "rmse"
 ) -> DistanceTable:
-    if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
+    """Dataset-averaged distances between N candidate severities uniform on [0,1]. Row i
+    and its mirror are one row-contract metric call, the (S, n) block at candidate i against
+    the (N-1-i, S, n) block after it, averaged over the S samples: N - 1 calls in all."""
     ts = np.linspace(0.0, 1.0, n_candidates)
-    # Degrade every sample at every candidate once, then compare pairs.
-    degraded = np.empty((n_candidates, len(dataset), dataset[0].n))
-    for i, t in enumerate(ts):
-        for s, x in enumerate(dataset):
-            degraded[i, s] = proc.apply(t, x).values
+    degraded = _degraded(proc, ts, dataset)
     d = np.zeros((n_candidates, n_candidates))
-    for i in range(n_candidates):
-        for j in range(i + 1, n_candidates):
-            dist = np.mean([metric(degraded[i, s], degraded[j, s]) for s in range(len(dataset))])
-            d[i, j] = d[j, i] = dist
+    for i in range(n_candidates - 1):
+        d[i, i + 1:] = d[i + 1:, i] = np.mean(metric(degraded[i], degraded[i + 1:]), axis=-1)
     params = np.array([proc.param_of(t) for t in ts])
     return DistanceTable(ts, d, params, metric_name=metric_name, process_name=type(proc).__name__)
+
+
+def check_knot_count(m: int, n_candidates: int) -> None:
+    """m interior knots and both endpoints must fit among the candidates."""
+    if m > n_candidates - 2:
+        raise ValueError(f"m={m} too large for {n_candidates} candidates")
 
 
 def max_edge_distance(table: DistanceTable, indices) -> float:
@@ -144,8 +155,7 @@ def greedy_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
     reruns are byte-identical.
     """
     N = table.size
-    if m > N - 2:
-        raise ValueError(f"m={m} too large for {N} candidates")
+    check_knot_count(m, N)
     if np.all(table.d == 0):
         # Degenerate table: no signal to schedule on; fall back to uniform knots.
         return replace(uniform_schedule(table, m),

@@ -248,8 +248,6 @@ def perception_distortion_sweep(
     config: SamplerConfig,
     runs: int = 30,
     base_seed: int = 0,
-    truth: Signal | None = None,
-    y_tilde: Signal | None = None,
 ) -> PdReport:
     """Mean distortion/perception curves over repeated trajectories.
 
@@ -258,10 +256,8 @@ def perception_distortion_sweep(
     keeps improving past that peak.
     """
     rng = RandomSource(base_seed)
-    if truth is None:
-        truth = prior_sample(prior, rng.split(0))
-    if y_tilde is None:
-        y_tilde = sdp_sample(proc, noise, truth, 1.0, rng.split(1))
+    truth = prior_sample(prior, rng.split(0))
+    y_tilde = sdp_sample(proc, noise, truth, 1.0, rng.split(1))
     psnr_runs, nll_runs, ts = [], [], None
     for r in range(runs):
         cfg = replace(config, seed=config.seed + r)

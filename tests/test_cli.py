@@ -72,7 +72,8 @@ def test_out_of_range_value_rejected(tmp_path):
 
 
 # (section, key, value, loads). load_config checks [noise] and [sampler] by
-# building NoiseSchedule and SamplerConfig, so their cross-field rules apply.
+# building NoiseSchedule and SamplerConfig, so their cross-field rules apply;
+# [schedule] m must leave room for both endpoints among n_candidates (101).
 LOAD_CASES = [
     ("noise", "sigma_min", "-1", False),
     ("noise", "sigma_min", "0", False),
@@ -119,6 +120,8 @@ LOAD_CASES = [
     ("process", "kernel_size", "5", False),  # removed: blur has no kernel size
     ("process", "w_final", "0", True),  # 0 = auto
     ("process", "w_final", "-1", False),
+    ("schedule", "m", "99", True),
+    ("schedule", "m", "100", False),
 ]
 
 
@@ -156,6 +159,18 @@ def test_schedule_command(tmp_path, capsys):
 
     sched = load_schedule(str(tmp_path / "out" / "schedule.txt"))
     assert [t for t, _ in sched.knots] == [0.0, 1.0]  # m = 0 keeps just the endpoints
+
+
+def test_schedule_m_too_large_exits_before_any_table(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the distance table was built")
+
+    monkeypatch.setattr(cli, "build_distance_table", refuse)
+    cfg = write_config(tmp_path, "\n[schedule]\nm = 100\n")
+    assert run(["schedule", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "m=100 too large for 101 candidates" in err[0]
 
 
 def test_schedule_reruns_byte_identical(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dirac.core import RandomSource, Signal, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianMaskInpaintProcess
@@ -55,6 +57,18 @@ def test_severity_grid_and_step_count(setup):
     traj = dirac_sample(GroundTruthDenoiser(x0), proc, noise, y_tilde,
                         SamplerConfig(delta_t=0.25, seed=2))
     assert [s.t for s in traj.steps] == pytest.approx([1.0, 0.75, 0.5, 0.25])
+
+
+@given(st.floats(1e-3, 1.0), st.floats(0.0, 1.0, exclude_max=True))
+def test_severity_grid_stops_at_t_stop(delta_t, t_stop):
+    # Delta t below 1e-3 is left out only because the step count grows as 1/Delta t.
+    x0 = Signal.from_array(np.array([0.2, 0.7]))
+    proc = BlendingProcess(Signal.from_array(np.array([0.5, 0.1])))
+    traj = dirac_sample(GroundTruthDenoiser(x0), proc, NoiseSchedule(), proc.apply(1.0, x0),
+                        SamplerConfig(delta_t=delta_t, t_stop=t_stop))
+    assert all(step.t > t_stop for step in traj.steps)
+    assert max(1.0 - delta_t * len(traj.steps), 0.0) <= t_stop + 1e-12  # the next t stops
+    assert len(traj.steps) <= math.floor(1.0 / delta_t) + 1
 
 
 def test_single_step_run(setup):

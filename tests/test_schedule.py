@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirac.core import RandomSource, Signal, prior_sample, squared_exponential_prior
-from dirac.degrade import GaussianBlurProcess, GaussianMaskInpaintProcess
+from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.schedule import (
     DistanceTable,
     SeveritySchedule,
@@ -119,9 +119,60 @@ def test_build_distance_table_consistency():
     assert table.size == 11
     i, j = 2, 7
     expected = pairwise_distance(proc, table.candidates[i], table.candidates[j], data)
-    assert table.d[i, j] == pytest.approx(expected, abs=1e-12)
+    assert table.d[i, j] == expected  # the same expression, so bit-identical
     with pytest.raises(ValueError):
         build_distance_table(proc, [], n_candidates=5)
+
+
+def _per_pair_table(proc, dataset, n):
+    """Reference: one scalar RMSE per candidate pair and sample, averaged per pair."""
+    ts = np.linspace(0.0, 1.0, n)
+    degraded = [[proc.apply(t, x).values for x in dataset] for t in ts]
+    d = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        d[i, j] = d[j, i] = np.mean([float(np.sqrt(np.mean((a - b) ** 2)))
+                                     for a, b in zip(degraded[i], degraded[j])])
+    return d
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 6)], ids=["7", "6x6"])
+@pytest.mark.parametrize("family", ["blur", "inpaint", "blending"])
+def test_build_distance_table_equals_per_pair_loop(family, shape):
+    prior = squared_exponential_prior(shape)
+    proc = {"blur": lambda: GaussianBlurProcess(shape),
+            "inpaint": lambda: GaussianMaskInpaintProcess(shape),
+            "blending": lambda: BlendingProcess(prior_sample(prior, RandomSource(9)))}[family]()
+    for s in (1, 3, 8):
+        data = [prior_sample(prior, RandomSource(s).split(i)) for i in range(s)]
+        for n in (2, 11):
+            table = build_distance_table(proc, data, n_candidates=n)
+            assert np.array_equal(table.d, _per_pair_table(proc, data, n))
+
+
+def test_build_distance_table_calls_metric_once_per_row():
+    proc = GaussianMaskInpaintProcess((6, 6))
+    prior = squared_exponential_prior((6, 6))
+    data = [prior_sample(prior, RandomSource(2).split(i)) for i in range(3)]
+    shapes = []
+
+    def counted(a, b):
+        shapes.append((a.shape, b.shape))
+        return rmse_metric(a, b)
+
+    table = build_distance_table(proc, data, n_candidates=11, metric=counted)
+    assert shapes == [((3, 36), (10 - i, 3, 36)) for i in range(10)]  # N - 1 calls
+    assert np.array_equal(table.d, build_distance_table(proc, data, n_candidates=11).d)
+
+
+@pytest.mark.parametrize("n", [5, 36, 64])
+def test_rmse_metric_rows_equal_per_vector_calls(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(4, 3, n)), rng.normal(size=(4, 3, n))
+    rows, broadcast = rmse_metric(a, b), rmse_metric(a[0], b)
+    assert rows.shape == broadcast.shape == (4, 3)
+    for k, s in np.ndindex(4, 3):
+        assert rows[k, s] == rmse_metric(a[k, s], b[k, s])
+        assert broadcast[k, s] == rmse_metric(a[0, s], b[k, s])
 
 
 def test_distance_table_validation():
