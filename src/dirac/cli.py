@@ -81,7 +81,7 @@ _SCHEMA = {
         "length_scale": (float, _positive, 2.0),
         "jitter": (float, _positive, 1e-4),
         "mean": (float, None, 0.5),
-        "seed": (int, _nonneg, 0),
+        "seed": (int, _nonneg, 0),  # accepted and ignored: the prior draws nothing
     },
     "process": {
         "kind": (str, lambda v: v in ("blur", "inpaint", "blending"), "inpaint"),
@@ -324,6 +324,8 @@ def cmd_sample(config, out_dir, jobs) -> int:
             raise ConfigError(
                 f"measurement shape {y_tilde.shape} does not match process shape {proc.shape}"
             )
+        if not np.all(np.isfinite(y_tilde.values)):
+            raise ConfigError(f"{c['measurement_file']}: measurement holds NaN or inf values")
     else:
         y_tilde = sdp_sample(proc, noise, truth, 1.0, rng.split(1))
     den = _make_denoiser(c["denoiser"], prior, proc, noise, truth, c["model_file"], out_dir)

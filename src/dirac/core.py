@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "Signal",
@@ -70,7 +71,7 @@ class Signal:
 class GaussianPrior:
     """Gaussian data model N(mean, covariance) over signals.
 
-    ``cholesky_factor`` and ``entry_bound`` are computed, not passed.
+    ``cholesky_factor``, ``log_det`` and ``entry_bound`` are computed, not passed.
     ``entry_bound`` is the radius B such that samples are treated as
     entrywise bounded for error-bound audits; samples exceeding it are
     rejected by those audits rather than clipped.
@@ -79,6 +80,7 @@ class GaussianPrior:
     mean: Signal
     covariance: np.ndarray
     cholesky_factor: np.ndarray = field(init=False)
+    log_det: float = field(init=False)
     entry_bound: float = field(init=False)
 
     def __post_init__(self):
@@ -95,6 +97,7 @@ class GaussianPrior:
         chol = np.linalg.cholesky(cov)
         chol.setflags(write=False)
         object.__setattr__(self, "cholesky_factor", chol)
+        object.__setattr__(self, "log_det", float(2.0 * np.sum(np.log(np.diag(chol)))))
         bound = np.max(np.abs(self.mean.values)) + 4.0 * np.sqrt(np.max(np.diag(cov)))
         object.__setattr__(self, "entry_bound", float(bound))
 
@@ -163,13 +166,18 @@ def prior_sample(prior: GaussianPrior, rng: RandomSource) -> Signal:
 
 
 def prior_nll(prior: GaussianPrior, x: Signal) -> float:
-    """Negative log-density of x under the prior, via the stored factorization."""
+    """Negative log-density of x under the prior, via the stored factorization.
+
+    Solves L w = x - mu with LAPACK's dtrtrs on L^T, the Fortran-ordered view of the
+    C-ordered factor, with trans=1: the call solve_triangular makes, without its scan
+    of the n x n factor for non-finite values.
+    """
     if x.shape != prior.mean.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {prior.mean.shape}")
     r = x.values - prior.mean.values
-    white = scipy.linalg.solve_triangular(prior.cholesky_factor, r, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(prior.cholesky_factor)))
-    return float(0.5 * white @ white + 0.5 * logdet + 0.5 * prior.n * math.log(2.0 * math.pi))
+    white = lapack.dtrtrs(prior.cholesky_factor.T, r, lower=0, trans=1, overwrite_b=1)[0]
+    return float(
+        0.5 * white @ white + 0.5 * prior.log_det + 0.5 * prior.n * math.log(2.0 * math.pi))
 
 
 def mse(a: Signal, b: Signal) -> float:

@@ -104,6 +104,7 @@ def incremental_estimate(
     small_dt: float | None = None,
     *,
     x_hat: Signal | None = None,
+    a_t: Signal | None = None,
 ) -> Signal:
     """Estimate of the reconstruction increment A_{t-dt}(x0) - A_t(x0).
 
@@ -111,7 +112,7 @@ def incremental_estimate(
     prediction; SLA/SLB replace the far severity with a nearby one and scale
     the finite difference; LB looks backward to t + dt. All severities are
     clamped to [0,1]. x_hat, when given, is taken as den.estimate(y, t)
-    instead of asking the denoiser again.
+    instead of asking the denoiser again, and a_t as proc.apply(t, x_hat).
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown increment variant {variant!r}")
@@ -120,7 +121,7 @@ def incremental_estimate(
     if delta_t == 0.0:
         return y.with_values(np.zeros(y.n))
     est = den.estimate(y, t) if x_hat is None else x_hat
-    at = proc.apply(t, est).values
+    at = (proc.apply(t, est) if a_t is None else a_t).values
     if variant == "LA":
         tau = _snap(max(t - delta_t, 0.0))
         out = proc.apply(tau, est).values - at
@@ -143,14 +144,20 @@ def denoising_term(
     delta_t: float,
     y: Signal,
     x_hat: Signal,
+    *,
+    a_t: Signal | None = None,
 ) -> Signal:
-    """-((sigma_tau^2 - sigma_t^2)/sigma_t^2) (A_t(x_hat) - y), tau = max(t-dt, 0)."""
+    """-((sigma_tau^2 - sigma_t^2)/sigma_t^2) (A_t(x_hat) - y), tau = max(t-dt, 0).
+
+    a_t, when given, is taken as proc.apply(t, x_hat) instead of applying it again.
+    """
     s_t = noise.sigma(t)
     if s_t == 0.0:
         return y.with_values(np.zeros(y.n))
     s_tau = noise.sigma(_snap(max(t - delta_t, 0.0)))
     scale = -(s_tau * s_tau - s_t * s_t) / (s_t * s_t)
-    return y.with_values(scale * (proc.apply(t, x_hat).values - y.values))
+    at = proc.apply(t, x_hat) if a_t is None else a_t
+    return y.with_values(scale * (at.values - y.values))
 
 
 def guidance_term(
@@ -165,6 +172,7 @@ def guidance_term(
     eta: float,
     *,
     x_hat: Signal | None = None,
+    a_1: Signal | None = None,
 ) -> Signal:
     """Measurement-agreement gradient contribution eta_t * y_g.
 
@@ -172,14 +180,16 @@ def guidance_term(
     computed exactly through the denoiser's vector-Jacobian product; eta_t is
     eta/(2 sigma_1^2) (std_scaled) or eta/||residual|| (error_scaled, floored).
     Refused for denoisers without vjp support. x_hat, when given, is taken as
-    den.estimate(y, t) instead of asking the denoiser again.
+    den.estimate(y, t) instead of asking the denoiser again, and a_1 as
+    proc.apply(1, x_hat).
     """
     if mode not in ("std_scaled", "error_scaled"):
         raise ValueError(f"guidance mode must be scaled, got {mode!r}")
     if not den.supports_vjp:
         raise ValueError("guidance requires a denoiser with vjp support")
-    est = den.estimate(y, t) if x_hat is None else x_hat
-    resid = y_tilde.values - proc.apply(1.0, est).values
+    if a_1 is None:
+        a_1 = proc.apply(1.0, den.estimate(y, t) if x_hat is None else x_hat)
+    resid = y_tilde.values - a_1.values
     grad = -2.0 * den.vjp(y, t, y.with_values(proc.rmatvec(1.0, resid))).values
     s_t = noise.sigma(t)
     s_tau = noise.sigma(_snap(max(t - delta_t, 0.0)))
@@ -206,9 +216,10 @@ def dirac_sample(
     Records one step per executed iteration (severity, iterate, clean-image
     estimate, measurement-consistency error, and distortion/perception
     metrics when truth and prior are supplied). Each step asks the denoiser
-    for one estimate, which the incremental, denoising and guidance terms
-    share. Fully deterministic given config.seed; a non-finite iterate aborts
-    with the diagnostic trajectory.
+    for one estimate x_hat, plus one vjp when guided, and forms each operator
+    product once: A_1(x_hat) serves eps_dc and the guidance residual, A_t(x_hat)
+    the incremental and denoising terms. Fully deterministic given config.seed;
+    a non-finite iterate aborts with the diagnostic trajectory.
     """
     rng = RandomSource(config.seed)
     traj = Trajectory()
@@ -218,7 +229,8 @@ def dirac_sample(
         if t <= config.t_stop + _T_EPS:
             break
         x_hat = den.estimate(y, t)
-        eps_dc = mse(y_tilde, proc.apply(1.0, x_hat))
+        a_1 = proc.apply(1.0, x_hat)
+        eps_dc = mse(y_tilde, a_1)
         traj.steps.append(
             TrajectoryStep(
                 t=t,
@@ -232,16 +244,17 @@ def dirac_sample(
             )
         )
         tau = _snap(max(t - config.delta_t, 0.0))
+        a_t = proc.apply(t, x_hat)
         y_r = incremental_estimate(
             den, proc, t, config.delta_t, y, config.increment_variant, config.small_dt,
-            x_hat=x_hat,
+            x_hat=x_hat, a_t=a_t,
         )
-        y_d = denoising_term(proc, noise, t, config.delta_t, y, x_hat)
+        y_d = denoising_term(proc, noise, t, config.delta_t, y, x_hat, a_t=a_t)
         new = y.values + y_r.values + y_d.values
         if config.guidance_mode != "none" and config.eta > 0.0:
             new = new + guidance_term(
                 den, proc, noise, t, config.delta_t, y, y_tilde,
-                config.guidance_mode, config.eta, x_hat=x_hat,
+                config.guidance_mode, config.eta, x_hat=x_hat, a_1=a_1,
             ).values
         s_t, s_tau = noise.sigma(t), noise.sigma(tau)
         if s_t > s_tau:

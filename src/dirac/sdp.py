@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ class NoiseSchedule:
     """Geometric noise level sigma_t = sigma_min * (sigma_max/sigma_min)^t.
 
     sigma_min = sigma_max = 0 is accepted as the noiseless limit (the
-    geometric rule degenerates to zero everywhere).
+    geometric rule degenerates to zero everywhere). sigma_max must have a
+    finite square, since every consumer works with variances sigma_t^2.
     """
 
     sigma_min: float = 0.01
@@ -32,6 +34,9 @@ class NoiseSchedule:
     def __post_init__(self):
         if not (self.sigma_min >= 0) or not (self.sigma_max >= self.sigma_min):
             raise ValueError("requires 0 <= sigma_min <= sigma_max")
+        # a Python float product overflows to inf, where ** would raise and numpy would warn
+        if not math.isfinite(float(self.sigma_max) * float(self.sigma_max)):
+            raise ValueError(f"sigma_max={self.sigma_max!r} has no finite square")
         if self.sigma_min == 0.0 and self.sigma_max > 0.0:
             raise ValueError("geometric schedule needs sigma_min > 0 unless fully noiseless")
 

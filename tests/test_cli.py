@@ -84,7 +84,9 @@ LOAD_CASES = [
     ("noise", "sigma_max", "-1", False),
     ("noise", "sigma_max", "0", False),
     ("noise", "sigma_max", "nan", False),
-    ("noise", "sigma_max", "inf", True),
+    ("noise", "sigma_max", "inf", False),  # sigma_max^2 must be finite
+    ("noise", "sigma_max", "1e300", False),
+    ("noise", "sigma_max", "1e150", True),
     ("noise", "sigma_max", "0.005", False),
     ("noise", "sigma_max", "0.01", True),
     ("sampler", "delta_t", "-1", False),
@@ -240,6 +242,20 @@ def test_sample_measurement_file_shape_mismatch(tmp_path):
     write_signal(Signal(np.zeros(4), (2, 2)), str(meas))
     cfg = write_config(tmp_path, f"\n[sampler]\nmeasurement_file = {meas}\n")
     assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_measurement_file_exits_2(tmp_path, capsys, bad):
+    from dirac.core import Signal, write_signal
+
+    meas = tmp_path / "meas.bin"
+    values = np.full(36, 0.5)
+    values[7] = bad
+    write_signal(Signal(values, (6, 6)), meas)
+    cfg = write_config(tmp_path, f"\n[sampler]\nmeasurement_file = {meas}\n")
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {meas}"), err
 
 
 def _every_cut_exits_2(tmp_path, capsys, data, extra):

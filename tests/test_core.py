@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -99,6 +101,30 @@ def test_prior_nll_matches_direct_formula():
     sign, logdet = np.linalg.slogdet(cov)
     expected = 0.5 * (d @ np.linalg.solve(cov, d) + logdet + prior.n * math.log(2 * math.pi))
     assert prior_nll(prior, x) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 6), (16, 16)], ids=["7", "6x6", "16x16"])
+def test_prior_nll_matches_scipy_logpdf(shape):
+    prior = squared_exponential_prior(shape)
+    dist = scipy.stats.multivariate_normal(prior.mean.values, prior.covariance)
+    for i in range(3):
+        x = prior_sample(prior, RandomSource(5).split(i))
+        assert prior_nll(prior, x) == pytest.approx(-dist.logpdf(x.values), rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 6), (16, 16)], ids=["7", "6x6", "16x16"])
+def test_prior_nll_equals_validated_solve(shape):
+    # the same bits as scipy's validating solve_triangular and a per-call log-determinant
+    prior = squared_exponential_prior(shape)
+    chol = prior.cholesky_factor
+    for i in range(3):
+        x = prior_sample(prior, RandomSource(6).split(i))
+        r = x.values - prior.mean.values
+        white = scipy.linalg.solve_triangular(chol, r, lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        expected = float(
+            0.5 * white @ white + 0.5 * logdet + 0.5 * prior.n * math.log(2.0 * math.pi))
+        assert prior_nll(prior, x) == expected
 
 
 def test_mse_psnr():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dirac.core import RandomSource, Signal, prior_sample, squared_exponential_prior
-from dirac.degrade import BlendingProcess, GaussianMaskInpaintProcess
+from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
+from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import Denoiser, GroundTruthDenoiser, OracleDenoiser
 from dirac.sampler import (
     SamplerConfig,
@@ -178,25 +178,93 @@ def test_guidance_requires_vjp(setup):
         guidance_term(NoVjp(), proc, noise, 0.7, 0.1, y_tilde, y_tilde, "std_scaled", 0.5)
 
 
-def test_one_step_update_decomposition(setup):
-    # the first sampler step equals the sum of its published terms
-    prior, proc, noise, x0, y_tilde = setup
+@pytest.mark.parametrize("guidance", ["none", "std_scaled", "error_scaled"])
+@pytest.mark.parametrize("variant", ["LA", "SLA", "LB", "SLB"])
+@pytest.mark.parametrize("kind", ["blur", "inpaint"])
+def test_every_step_equals_its_published_terms(setup, kind, variant, guidance):
+    # each step, rebuilt from the public terms (each forming its own operator
+    # products) and the same noise stream, is the sampler's next iterate bit for bit
+    prior, _, noise, x0, _ = setup
+    proc = GaussianBlurProcess(SHAPE) if kind == "blur" else GaussianMaskInpaintProcess(SHAPE)
+    y_tilde = sdp_sample(proc, noise, x0, 1.0, RandomSource(1))
     den = OracleDenoiser(prior, proc, noise)
-    cfg = SamplerConfig(delta_t=0.25, eta=0.2, guidance_mode="std_scaled",
-                        output_mode="final_iterate", seed=7)
+    dt, small_dt, eta = 0.25, (0.1 if variant.startswith("S") else None), 0.2
+    cfg = SamplerConfig(delta_t=dt, eta=eta, guidance_mode=guidance, increment_variant=variant,
+                        small_dt=small_dt, output_mode="final_iterate", seed=7)
     traj = dirac_sample(den, proc, noise, y_tilde, cfg)
-    t0, t1 = 1.0, 0.75
-    x_hat = den.estimate(y_tilde, t0)
-    manual = (
-        y_tilde.values
-        + incremental_estimate(den, proc, t0, 0.25, y_tilde, "LA").values
-        + denoising_term(proc, noise, t0, 0.25, y_tilde, x_hat).values
-        + guidance_term(den, proc, noise, t0, 0.25, y_tilde, y_tilde,
-                        "std_scaled", 0.2).values
-        + math.sqrt(noise.sigma(t0) ** 2 - noise.sigma(t1) ** 2)
-        * RandomSource(7).normal(y_tilde.n)
-    )
-    np.testing.assert_allclose(traj.steps[1].iterate.values, manual, atol=1e-12)
+    assert len(traj.steps) == 4
+    rng = RandomSource(7)
+    nexts = [step.iterate for step in traj.steps[1:]] + [traj.output]
+    y = y_tilde
+    for step, following in zip(traj.steps, nexts):
+        t = step.t
+        x_hat = den.estimate(y, t)
+        np.testing.assert_array_equal(step.iterate.values, y.values)
+        np.testing.assert_array_equal(step.estimate.values, x_hat.values)
+        assert step.eps_dc == mse(y_tilde, proc.apply(1.0, x_hat))
+        new = (y.values
+               + incremental_estimate(den, proc, t, dt, y, variant, small_dt).values
+               + denoising_term(proc, noise, t, dt, y, x_hat).values)
+        if guidance != "none":
+            new = new + guidance_term(den, proc, noise, t, dt, y, y_tilde, guidance, eta).values
+        s_t, s_tau = noise.sigma(t), noise.sigma(t - dt)
+        new = new + math.sqrt(s_t * s_t - s_tau * s_tau) * rng.normal(y.n)
+        np.testing.assert_array_equal(following.values, new)
+        y = following
+
+
+class _CountingProcess:
+    """Delegates to a process, counting its operator products."""
+
+    def __init__(self, proc):
+        self._proc = proc
+        self.calls = 0
+
+    def apply(self, t, x):
+        self.calls += 1
+        return self._proc.apply(t, x)
+
+    def matvec(self, t, x):
+        self.calls += 1
+        return self._proc.matvec(t, x)
+
+    def rmatvec(self, t, x):
+        self.calls += 1
+        return self._proc.rmatvec(t, x)
+
+    def __getattr__(self, name):
+        return getattr(self._proc, name)
+
+
+@pytest.mark.parametrize("guidance,per_step", [("none", 5), ("std_scaled", 7)])
+def test_operator_products_per_step(setup, guidance, per_step):
+    # the oracle's estimate takes A_t(mu) and A_t^T, its vjp A_t; the sampler adds
+    # A_1(x_hat), A_t(x_hat) and A_tau(x_hat), and A_1^T when guided
+    prior, _, noise, x0, _ = setup
+    proc = _CountingProcess(GaussianBlurProcess(SHAPE))
+    y_tilde = sdp_sample(proc, noise, x0, 1.0, RandomSource(1))
+
+    class Counting(OracleDenoiser):
+        estimates = vjps = 0
+
+        def estimate(self, y, t):
+            self.estimates += 1
+            return super().estimate(y, t)
+
+        def vjp(self, y, t, v):
+            self.vjps += 1
+            return super().vjp(y, t, v)
+
+    den = Counting(prior, proc, noise)
+    cfg = SamplerConfig(delta_t=0.25, eta=0.2, guidance_mode=guidance, seed=7)
+    dirac_sample(den, proc, noise, y_tilde, cfg)  # factors every severity
+    proc.calls = den.estimates = den.vjps = 0
+    traj = dirac_sample(den, proc, noise, y_tilde, cfg, truth=x0, prior=prior)
+    steps = len(traj.steps)
+    assert steps == 4
+    assert proc.calls == per_step * steps
+    assert den.estimates == steps
+    assert den.vjps == (steps if guidance != "none" else 0)
 
 
 @pytest.mark.parametrize("guidance", ["none", "std_scaled"])

@@ -6,11 +6,14 @@ metric= contract would otherwise show only in a traced benchmark run.
 """
 
 import importlib
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from dirac import cli, core, degrade, denoise, sampler, schedule, sdp, verify
 from dirac.core import RandomSource, prior_sample, squared_exponential_prior
-from dirac.degrade import GaussianMaskInpaintProcess
+from dirac.degrade import GaussianBlurProcess, GaussianMaskInpaintProcess
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,9 +27,13 @@ def _attributes():
     return out
 
 
-def test_tracer_counts_metric_calls_and_restores_every_patch(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_tracer_counts_metric_calls_and_restores_every_patch(spans):
     before = _attributes()
     tracer = spans.Tracer()
     tracer.install()
@@ -48,3 +55,29 @@ def test_tracer_counts_metric_calls_and_restores_every_patch(monkeypatch):
         for name, value in bindings.items():
             assert after[key][name] is value, name
     assert after == before
+
+
+def test_tracer_sees_every_sampler_term_once_per_step(spans):
+    # dirac_sample must reach its terms and prior_nll through the sampler
+    # module's names, or the benchmark's per-layer view loses them
+    prior = squared_exponential_prior((6, 6))
+    noise = sdp.NoiseSchedule()
+    x0 = prior_sample(prior, RandomSource(0))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        proc = tracer.process(GaussianBlurProcess((6, 6)))
+        den = tracer.denoiser(denoise.OracleDenoiser(prior, proc, noise))
+        y_tilde = sdp.sdp_sample(proc, noise, x0, 1.0, RandomSource(1))
+        config = sampler.SamplerConfig(delta_t=0.25, eta=0.5, guidance_mode="std_scaled")
+        tracer.recording = True
+        traj = sampler.dirac_sample(den, proc, noise, y_tilde, config, truth=x0, prior=prior)
+        tracer.recording = False
+    finally:
+        tracer.uninstall()
+    spans_by_name = Counter(tracer.names)
+    assert len(traj.steps) == 4
+    for name in ("sampler.incremental", "sampler.denoising", "sampler.guidance",
+                 "core.prior_nll"):
+        assert spans_by_name[name] == 4, name
+    assert tracer.per_layer()["sampler.estimates_per_step"] == 1.0
