@@ -8,7 +8,6 @@ config, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -308,7 +307,11 @@ def _make_denoiser(kind, prior, proc, noise, truth, model_file, out_dir):
     path = model_file or os.path.join(out_dir, "model.bin")
     if not os.path.isfile(path):
         raise ConfigError(f"model file not found: {path}")
-    return load_model(path)
+    model = load_model(path)
+    if model.n != prior.n:
+        raise ConfigError(f"{path}: model size n = {model.n} does not match "
+                          f"prior size n = {prior.n}")
+    return model
 
 
 def cmd_sample(config, out_dir, jobs) -> int:
@@ -316,9 +319,12 @@ def cmd_sample(config, out_dir, jobs) -> int:
     proc = build_process(config, prior)
     noise = build_noise(config)
     c = config["sampler"]
-    rng = RandomSource(c["measurement_seed"])
-    truth = prior_sample(prior, rng.split(0))
     if c["measurement_file"]:
+        # an external measurement has no known truth: no psnr, and no truth denoiser
+        if c["denoiser"] == "truth":
+            raise ConfigError("denoiser = truth needs a simulated measurement, "
+                              "not a measurement_file")
+        truth = None
         y_tilde = read_signal(c["measurement_file"])
         if y_tilde.shape != proc.shape:
             raise ConfigError(
@@ -327,6 +333,8 @@ def cmd_sample(config, out_dir, jobs) -> int:
         if not np.all(np.isfinite(y_tilde.values)):
             raise ConfigError(f"{c['measurement_file']}: measurement holds NaN or inf values")
     else:
+        rng = RandomSource(c["measurement_seed"])
+        truth = prior_sample(prior, rng.split(0))
         y_tilde = sdp_sample(proc, noise, truth, 1.0, rng.split(1))
     den = _make_denoiser(c["denoiser"], prior, proc, noise, truth, c["model_file"], out_dir)
     traj = dirac_sample(den, proc, noise, y_tilde, build_sampler_config(config),
@@ -334,16 +342,18 @@ def cmd_sample(config, out_dir, jobs) -> int:
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
     if c["write_images"] == "true":
-        write_pgm(truth, os.path.join(out_dir, "truth.pgm"))
+        if truth is not None:
+            write_pgm(truth, os.path.join(out_dir, "truth.pgm"))
         write_pgm(y_tilde, os.path.join(out_dir, "measurement.pgm"))
         write_pgm(traj.output, os.path.join(out_dir, "output.pgm"))
     if traj.aborted:
         print(f"sampler aborted on non-finite iterate; diagnostics at {csv_path}")
         return EXIT_FAIL
-    final_psnr = psnr(traj.output, truth)
-    final_nll = prior_nll(prior, traj.output)
-    final_dc = eps_dc(proc, y_tilde, traj.output)
-    print(f"final psnr {final_psnr:.6g}  nll {final_nll:.6g}  eps_dc {final_dc:.6g}")
+    final = (f"nll {prior_nll(prior, traj.output):.6g}  "
+             f"eps_dc {eps_dc(proc, y_tilde, traj.output):.6g}")
+    if truth is not None:
+        final = f"psnr {psnr(traj.output, truth):.6g}  {final}"
+    print(f"final {final}")
     print(f"wrote {csv_path} ({len(traj.steps)} steps)")
     return EXIT_OK
 
@@ -479,12 +489,8 @@ SUITES = {
 }
 
 
-def cmd_verify(config, out_dir, jobs, thm36_denoiser_factory=None) -> int:
-    """Run the requested suites and write verify_report.csv.
-
-    thm36_denoiser_factory(x0), when given, replaces the thm36 suite's
-    ground-truth denoiser; negative controls inject a faulty one through it.
-    """
+def cmd_verify(config, out_dir, jobs) -> int:
+    """Run the requested suites and write verify_report.csv."""
     requested = [s.strip() for s in config["verify"]["suites"].split(",") if s.strip()]
     if not requested:
         requested = list(SUITES)
@@ -495,13 +501,8 @@ def cmd_verify(config, out_dir, jobs, thm36_denoiser_factory=None) -> int:
     noise = build_noise(config)
     procs = _processes_for_verify(config, prior)
 
-    suites = dict(SUITES)
-    if thm36_denoiser_factory is not None:
-        suites["thm36"] = functools.partial(suites["thm36"],
-                                            denoiser_factory=thm36_denoiser_factory)
-
     def run(name):
-        return name, suites[name](config, prior, noise, procs)
+        return name, SUITES[name](config, prior, noise, procs)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

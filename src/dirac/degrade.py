@@ -1,9 +1,10 @@
 """Time-indexed degradation operator families with forward transition maps.
 
 All processes here are affine in the signal: apply(t, x) = A(t) x + b(t).
-Each family applies the linear part A(t) and its transpose through its own
-structure (matvec/rmatvec) and gives its spectral norm in closed form; the
-dense matrix view is kept as the reference for verification.
+Each family applies the linear part A(t) to a vector through its own
+structure (matvec; every A(t) here is symmetric, so rmatvec is matvec) and
+gives its Gram matrix A(t)^T A(t) and spectral norm in closed form; the dense
+matrix view is kept as the reference for verification.
 Severities compose exactly (up to rounding) through transition maps
 G_{t' -> t''}: inpainting divides masks, blur adds discrete-Gaussian
 variances and blending re-blends toward its anchor.
@@ -45,9 +46,9 @@ class DegradationProcess(ABC):
     #: relative tolerance for apply(0, x) ~ x
     identity_tol: float = 1e-12
 
-    @abstractmethod
     def apply(self, t: float, x: Signal) -> Signal:
-        """Degrade x at severity t in [0,1]."""
+        """Degrade x at severity t in [0,1]; a family with an offset adds it."""
+        return x.with_values(self.matvec(t, x.values))
 
     @abstractmethod
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
@@ -55,11 +56,15 @@ class DegradationProcess(ABC):
 
     @abstractmethod
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Linear part A(t) applied to an (n,) vector or each column of an (n, k) block."""
+        """Linear part A(t) applied to an (n,) vector."""
+
+    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Transpose A(t)^T applied to an (n,) vector: matvec, as every family is symmetric."""
+        return self.matvec(t, x)
 
     @abstractmethod
-    def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Transpose A(t)^T applied to an (n,) vector or each column of an (n, k) block."""
+    def gram(self, t: float) -> np.ndarray:
+        """Dense n x n Gram matrix A(t)^T A(t), in closed form."""
 
     @abstractmethod
     def as_matrix(self, t: float) -> np.ndarray:
@@ -196,26 +201,21 @@ class GaussianBlurProcess(DegradationProcess):
         return (inverse @ np.exp(v * generator))[lag]
 
     def _blur(self, v: float, x: np.ndarray) -> np.ndarray:
-        """C_h X C_w at variance v on a flat image or each column of an (n, k) block."""
+        """C_h X C_w at variance v on a flat image."""
         c_h = self._axis_blur(v, self._shape[0])
         if len(self._shape) == 1:
             return c_h @ x
         h, wd = self._shape
         c_w = c_h if wd == h else self._axis_blur(v, wd)
-        if x.ndim == 1:
-            return (c_h @ x.reshape(h, wd) @ c_w).ravel()
-        # Columns ride along the last axis: C_h mixes image rows, then C_w
-        # acts on each row's (w, k) slice.
-        out = (c_h @ x.reshape(h, -1)).reshape(h, wd, -1)
-        return np.matmul(c_w, out).reshape(x.shape)
+        return (c_h @ x.reshape(h, wd) @ c_w).ravel()
 
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
         return self._blur(_blur_variance(self.param_of(t)), x)
 
-    rmatvec = matvec  # A(t) is symmetric
-
-    def apply(self, t: float, x: Signal) -> Signal:
-        return x.with_values(self.matvec(t, x.values))
+    def gram(self, t: float) -> np.ndarray:
+        """Kronecker product of C(2v) per axis: variances add, so C(v)^2 = C(2v)."""
+        v = 2.0 * _blur_variance(self.param_of(t))
+        return functools.reduce(np.kron, [self._axis_blur(v, n) for n in self._shape])
 
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
@@ -318,9 +318,6 @@ class GaussianMaskInpaintProcess(DegradationProcess):
     def mask(self, t: float) -> Signal:
         return Signal(self._mask(t), self._shape)
 
-    def apply(self, t: float, x: Signal) -> Signal:
-        return x.with_values(self.matvec(t, x.values))
-
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
             raise ValueError("transition requires t_lo <= t_hi")
@@ -331,10 +328,10 @@ class GaussianMaskInpaintProcess(DegradationProcess):
         return y.with_values(out)
 
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        m = self._mask(t)
-        return m[:, None] * x if x.ndim == 2 else m * x
+        return self._mask(t) * x
 
-    rmatvec = matvec  # A(t) is symmetric
+    def gram(self, t: float) -> np.ndarray:
+        return np.diag(np.square(self._mask(t)))
 
     def as_matrix(self, t: float) -> np.ndarray:
         return np.diag(self._mask(t))
@@ -369,9 +366,7 @@ class BlendingProcess(DegradationProcess):
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
             raise ValueError("transition requires t_lo <= t_hi")
-        if t_lo == t_hi:
-            return y
-        if t_lo == 1.0:
+        if t_lo == t_hi or t_lo == 1.0:
             return y
         # Recover x from y = t'*anchor + (1-t')*x, then re-blend at t''.
         scale = (1.0 - t_hi) / (1.0 - t_lo)
@@ -383,7 +378,9 @@ class BlendingProcess(DegradationProcess):
         self._check_range(t)
         return (1.0 - t) * x
 
-    rmatvec = matvec  # A(t) is symmetric
+    def gram(self, t: float) -> np.ndarray:
+        self._check_range(t)
+        return ((1.0 - t) * (1.0 - t)) * np.eye(self.n)
 
     def as_matrix(self, t: float) -> np.ndarray:
         self._check_range(t)

@@ -59,12 +59,12 @@ class OracleDenoiser(Denoiser):
     estimate(y, t) = mu + H_t^{-1} M^T (y - A_t(mu)), H_t = sigma_t^2 Sigma^{-1} + M^T M: the
     information form of the gain Sigma M^T (M Sigma M^T + sigma_t^2 I)^{-1} (Bishop, PRML
     2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1}
-    is formed on the first cold severity and M^T M from matvec/rmatvec; each severity caches
-    the lower triangle of H_t^{-1}. At sigma_t = 0 the form stays exact where M^T M is
-    positive definite; a singular H_t (an operator that zeroes entries), or at sigma_t = 0
-    one singular to working precision (blur at high severity), raises ValueError naming t
-    and sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: numpy bundles a
-    second OpenBLAS, whose pool a numpy `@` here would wake to spin against scipy's.
+    is formed on the first cold severity and M^T M from the process's `gram`; each severity
+    caches the lower triangle of H_t^{-1}. At sigma_t = 0 the form stays exact where M^T M is
+    positive definite; a singular H_t (an operator that zeroes entries), or at sigma_t = 0 one
+    singular to working precision (blur at high severity), raises ValueError naming t and
+    sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: numpy bundles a second OpenBLAS,
+    whose pool a numpy `@` here would wake to spin against scipy's.
     """
 
     supports_vjp = True
@@ -83,7 +83,7 @@ class OracleDenoiser(Denoiser):
                 self._precision = lapack.dpotri(self.prior.cholesky_factor, lower=1)[0]
             s = self.noise.sigma(t)
             # M^T M is symmetric; its transpose is in Fortran order, which LAPACK works in
-            h = self.proc.rmatvec(t, self.proc.matvec(t, np.eye(self.prior.n))).T
+            h = self.proc.gram(t).T
             h += s * s * self._precision
             anorm = lapack.dlange("1", h) if s == 0.0 else 0.0
             chol, info = lapack.dpotrf(h, lower=1, overwrite_a=1)
@@ -289,6 +289,8 @@ def save_model(model: AffineDenoiser, path) -> None:
 def load_model(path) -> AffineDenoiser:
     data = read_binary(path, _MODEL_MAGIC, _MODEL_VERSION, header=17)
     n_bins, n = struct.unpack_from("<II", data, 9)
+    if n_bins == 0 or n == 0:
+        raise ValueError(f"{path}: model has {n_bins} bins of size {n}; both must be positive")
     check_length(path, data, 17 + 8 * n_bins * (n * n + n))
     blocks = np.frombuffer(data, dtype="<f8", offset=17).reshape(n_bins, n * n + n)
     return AffineDenoiser(blocks[:, : n * n].reshape(n_bins, n, n).copy(),

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -221,18 +222,36 @@ def test_sample_writes_images_when_asked(tmp_path):
     assert pgms[0].read_bytes().startswith(b"P5")
 
 
-def test_sample_from_measurement_file(tmp_path):
-    cfg = write_config(tmp_path)
-    assert run(["sample", "--config", cfg]) == cli.EXIT_OK
-    # re-feed the final iterate as an external measurement of matching shape
+def _measurement_file(tmp_path):
     from dirac.core import write_signal
 
     meas = tmp_path / "meas.bin"
-    config = cli.load_config(cfg)
-    prior = cli.build_prior(config)
-    write_signal(prior.mean, str(meas))
-    cfg2 = write_config(tmp_path, f"\n[sampler]\nmeasurement_file = {meas}\n")
-    assert run(["sample", "--config", cfg2]) == cli.EXIT_OK
+    write_signal(cli.build_prior(cli.load_config(write_config(tmp_path))).mean, str(meas))
+    return meas
+
+
+def test_sample_from_measurement_file(tmp_path, capsys):
+    # an external measurement has no truth to score against
+    meas = _measurement_file(tmp_path)
+    cfg = write_config(tmp_path, f"\n[sampler]\nmeasurement_file = {meas}\n"
+                                 "write_images = true\n")
+    assert run(["sample", "--config", cfg]) == cli.EXIT_OK
+    final = capsys.readouterr().out.splitlines()[0]
+    assert final.startswith("final nll ") and "eps_dc" in final and "psnr" not in final
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[3] == "nan" for row in rows)
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.pgm")) == [
+        "measurement.pgm", "output.pgm"]
+
+
+def test_truth_denoiser_refuses_measurement_file(tmp_path, capsys):
+    meas = _measurement_file(tmp_path)
+    cfg = write_config(tmp_path, f"\n[sampler]\nmeasurement_file = {meas}\n"
+                                 "denoiser = truth\n")
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "denoiser = truth" in err[0], err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_sample_measurement_file_shape_mismatch(tmp_path):
@@ -287,6 +306,31 @@ def test_truncated_model_file_exits_2(tmp_path, capsys):
     save_model(AffineDenoiser.initialized(squared_exponential_prior((2, 2)), n_bins=2), full)
     _every_cut_exits_2(tmp_path, capsys, full.read_bytes(),
                        "\n[sampler]\ndenoiser = model\nmodel_file = {path}\n")
+
+
+def _model_file(tmp_path, n_bins, shape):
+    from dirac.core import squared_exponential_prior
+    from dirac.denoise import AffineDenoiser, save_model
+
+    path = tmp_path / "model.bin"
+    save_model(AffineDenoiser.initialized(squared_exponential_prior(shape), n_bins=n_bins), path)
+    return write_config(tmp_path, "\n[prior]\nshape = 2x2\n"
+                                  f"\n[sampler]\ndenoiser = model\nmodel_file = {path}\n"), path
+
+
+def test_model_file_without_bins_exits_2(tmp_path, capsys):
+    cfg, path = _model_file(tmp_path, 0, (2, 2))
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}") and "0 bins" in err[0], err
+
+
+def test_model_size_mismatch_names_both_sizes(tmp_path, capsys):
+    cfg, path = _model_file(tmp_path, 2, (3, 3))
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}"), err
+    assert "n = 9" in err[0] and "n = 4" in err[0], err
 
 
 def test_truncated_schedule_file_exits_2(tmp_path, capsys):
@@ -356,18 +400,18 @@ def test_verify_parallel_matches_serial(tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_verify_thm36_negative_control(tmp_path, capsys):
-    # swap in a biased denoiser through cmd_verify's factory: the suite must FAIL
+def test_verify_thm36_negative_control(tmp_path, capsys, monkeypatch):
+    # swap in a biased denoiser through the suite's factory: the suite must FAIL
     cfg = write_config(tmp_path, "\n[verify]\nsuites = thm36\nseeds = 16\ndelta_t = 0.25\n")
+    assert run(["verify", "--config", cfg]) == cli.EXIT_OK
 
     def biased(truth):
         return GroundTruthDenoiser(truth.with_values(truth.values + 0.5))
 
-    code = cli.cmd_verify(cli.load_config(cfg), str(tmp_path), 1,
-                          thm36_denoiser_factory=biased)
-    assert code == cli.EXIT_FAIL
+    monkeypatch.setitem(cli.SUITES, "thm36",
+                        functools.partial(cli._suite_thm36, denoiser_factory=biased))
+    assert run(["verify", "--config", cfg]) == cli.EXIT_FAIL
     assert "FAIL thm36" in capsys.readouterr().out
-    assert run(["verify", "--config", cfg]) == cli.EXIT_OK
 
 
 def test_noiseless_oracle_is_usage_error(tmp_path, capsys):

@@ -131,11 +131,15 @@ def test_blur_kernel_longer_than_axis_wraps():
 
 def test_blur_is_symmetric():
     proc = GaussianBlurProcess((6, 5))
-    block = RandomSource(13).normal((30, 4))
+    rng = RandomSource(13)
     for t in (0.0, 0.37, 1.0):
-        np.testing.assert_array_equal(proc.matvec(t, block), proc.rmatvec(t, block))
+        for i in range(4):
+            x = rng.split(i).normal(30)
+            np.testing.assert_array_equal(proc.matvec(t, x), proc.rmatvec(t, x))
         m = proc.as_matrix(t)
         np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-15)
+        g = proc.gram(t)
+        np.testing.assert_array_equal(g, g.T)
 
 
 @pytest.mark.parametrize("t", [0.05, 0.1, 0.2, 0.3])
@@ -322,10 +326,21 @@ def _families(shape):
 def test_matvec_rmatvec_match_dense_matrix(shape, family, t):
     proc = _families(shape)[family]
     m = proc.as_matrix(t)
-    rng = RandomSource(12)
-    for x in (rng.split(0).normal(proc.n), rng.split(1).normal((proc.n, 3))):
-        np.testing.assert_allclose(proc.matvec(t, x), m @ x, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(proc.rmatvec(t, x), m.T @ x, rtol=0, atol=1e-12)
+    x = RandomSource(12).split(0).normal(proc.n)
+    np.testing.assert_allclose(proc.matvec(t, x), m @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(proc.rmatvec(t, x), m.T @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(proc.gram(t), m.T @ m, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_diagonal_gram_equals_identity_probe(t):
+    # M^T M pushed through an identity column by column, as rmatvec(t, matvec(t, I))
+    # once formed it, gives the same bits as the closed form of either diagonal family
+    inpaint = GaussianMaskInpaintProcess((5, 7))
+    m = inpaint.mask(t).values[:, None]
+    assert (inpaint.gram(t) == m * (m * np.eye(35))).all()
+    blend = BlendingProcess(_rand_signal(7, (5, 7)))
+    assert (blend.gram(t) == (1.0 - t) * ((1.0 - t) * np.eye(35))).all()
 
 
 # --- spectral norm / temporal estimates ----------------------------------

@@ -415,7 +415,7 @@ def test_model_rejects_bad_magic(tmp_path):
 
 
 def test_hot_paths_never_build_dense_matrix(monkeypatch):
-    # a guided blur trajectory and affine training must run on matvec/rmatvec alone
+    # a guided blur trajectory and affine training must run on matvec/rmatvec and gram alone
     def refuse(self, t):
         raise AssertionError("dense as_matrix called in a hot path")
 

@@ -257,14 +257,15 @@ def test_operator_products_per_step(setup, guidance, per_step):
 
     den = Counting(prior, proc, noise)
     cfg = SamplerConfig(delta_t=0.25, eta=0.2, guidance_mode=guidance, seed=7)
-    dirac_sample(den, proc, noise, y_tilde, cfg)  # factors every severity
-    proc.calls = den.estimates = den.vjps = 0
-    traj = dirac_sample(den, proc, noise, y_tilde, cfg, truth=x0, prior=prior)
-    steps = len(traj.steps)
-    assert steps == 4
-    assert proc.calls == per_step * steps
-    assert den.estimates == steps
-    assert den.vjps == (steps if guidance != "none" else 0)
+    # the cold run factors every severity from the process's gram, with no operator product
+    for _ in ("cold", "warm"):
+        proc.calls = den.estimates = den.vjps = 0
+        traj = dirac_sample(den, proc, noise, y_tilde, cfg, truth=x0, prior=prior)
+        steps = len(traj.steps)
+        assert steps == 4
+        assert proc.calls == per_step * steps
+        assert den.estimates == steps
+        assert den.vjps == (steps if guidance != "none" else 0)
 
 
 @pytest.mark.parametrize("guidance", ["none", "std_scaled"])
