@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 
 import numpy as np
@@ -73,27 +72,38 @@ def _nonneg(v):
     return v >= 0
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _suite_names(text):
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 # section -> key -> (parser, validator or None, default)
 _SCHEMA = {
     "prior": {
         "shape": (str, None, "16x16"),
-        "length_scale": (float, _positive, 2.0),
-        "jitter": (float, _positive, 1e-4),
-        "mean": (float, None, 0.5),
+        "length_scale": (_finite_float, _positive, 2.0),
+        "jitter": (_finite_float, _positive, 1e-4),
+        "mean": (_finite_float, None, 0.5),
         "seed": (int, _nonneg, 0),  # accepted and ignored: the prior draws nothing
     },
     "process": {
         "kind": (str, lambda v: v in ("blur", "inpaint", "blending"), "inpaint"),
-        "w_min": (float, _positive, 0.3),
-        "w_max": (float, _positive, 3.0),
+        "w_min": (_finite_float, _positive, 0.3),
+        "w_max": (_finite_float, _positive, 3.0),
         "k": (int, _positive, 4),
-        "w_final": (float, _nonneg, 0.0),  # 0 = auto (0.2 * max side)
+        "w_final": (_finite_float, _nonneg, 0.0),  # 0 = auto (0.2 * max side)
         "anchor_seed": (int, _nonneg, 1),
         "schedule_file": (str, None, ""),
     },
     "noise": {
-        "sigma_min": (float, None, 0.01),
-        "sigma_max": (float, None, 0.05),
+        "sigma_min": (_finite_float, None, 0.01),
+        "sigma_max": (_finite_float, None, 0.05),
     },
     "schedule": {
         "n_candidates": (int, lambda v: v >= 2, 101),
@@ -103,21 +113,21 @@ _SCHEMA = {
     },
     "training": {
         "loss": (str, lambda v: v in ("denoising", "incremental"), "denoising"),
-        "delta_t": (float, lambda v: 0.0 <= v <= 1.0, 0.0),
+        "delta_t": (_finite_float, lambda v: 0.0 <= v <= 1.0, 0.0),
         "bins": (int, _positive, 8),
         "steps": (int, _nonneg, 1000),
-        "step_size": (float, _positive, 1e-5),
+        "step_size": (_finite_float, _positive, 1e-5),
         "batch_size": (int, _positive, 32),
         "seed": (int, _nonneg, 0),
     },
     "sampler": {
-        "delta_t": (float, None, 0.02),
-        "t_stop": (float, None, 0.0),
-        "eta": (float, None, 0.0),
+        "delta_t": (_finite_float, None, 0.02),
+        "t_stop": (_finite_float, None, 0.0),
+        "eta": (_finite_float, None, 0.0),
         "guidance": (str, None, "none"),
         "output": (str, None, "posterior_mean"),
         "variant": (str, None, "LA"),
-        "small_dt": (float, None, 0.0),  # 0 = unset
+        "small_dt": (_finite_float, None, 0.0),  # 0 = unset
         "seed": (int, _nonneg, 0),
         "denoiser": (str, lambda v: v in ("oracle", "model", "truth"), "oracle"),
         "measurement_seed": (int, _nonneg, 0),
@@ -126,10 +136,10 @@ _SCHEMA = {
         "write_images": (str, lambda v: v in ("true", "false"), "false"),
     },
     "verify": {
-        "suites": (str, None, ""),
+        "suites": (str, lambda v: set(_suite_names(v)) <= SUITES.keys(), ""),  # "" = all
         "seeds": (int, _positive, 64),
         "trials": (int, _positive, 50),
-        "delta_t": (float, lambda v: 0.0 < v <= 1.0, 0.05),
+        "delta_t": (_finite_float, lambda v: 0.0 < v <= 1.0, 0.05),
         "pd_runs": (int, _positive, 30),
     },
     "sweep": {
@@ -149,10 +159,10 @@ _FILE_KEYS = (("process", "schedule_file"), ("sampler", "measurement_file"),
 def load_config(path) -> dict:
     """Parse and validate a config file into {section: {key: value}}.
 
-    Unknown sections or keys abort; every value is range-checked, the
-    [noise] and [sampler] sections by building NoiseSchedule and
-    SamplerConfig from them and [schedule] m by check_knot_count; every
-    referenced file must exist.
+    Unknown sections or keys abort; every float must be finite and every
+    value is range-checked, the [noise] and [sampler] sections by building
+    NoiseSchedule and SamplerConfig from them and [schedule] m by
+    check_knot_count; every referenced file must exist.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
@@ -255,7 +265,7 @@ def _prior_dataset(prior, size, seed):
     return [prior_sample(prior, rng.split(i)) for i in range(size)]
 
 
-def cmd_schedule(config, out_dir, jobs) -> int:
+def cmd_schedule(config, out_dir) -> int:
     prior = build_prior(config)
     proc = build_process(config, prior)
     c = config["schedule"]
@@ -273,7 +283,7 @@ def cmd_schedule(config, out_dir, jobs) -> int:
     return EXIT_OK
 
 
-def cmd_train(config, out_dir, jobs) -> int:
+def cmd_train(config, out_dir) -> int:
     prior = build_prior(config)
     proc = build_process(config, prior)
     noise = build_noise(config)
@@ -314,7 +324,7 @@ def _make_denoiser(kind, prior, proc, noise, truth, model_file, out_dir):
     return model
 
 
-def cmd_sample(config, out_dir, jobs) -> int:
+def cmd_sample(config, out_dir) -> int:
     prior = build_prior(config)
     proc = build_process(config, prior)
     noise = build_noise(config)
@@ -489,32 +499,18 @@ SUITES = {
 }
 
 
-def cmd_verify(config, out_dir, jobs) -> int:
-    """Run the requested suites and write verify_report.csv."""
-    requested = [s.strip() for s in config["verify"]["suites"].split(",") if s.strip()]
-    if not requested:
-        requested = list(SUITES)
-    for name in requested:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}")
+def cmd_verify(config, out_dir) -> int:
+    """Run the requested suites in order and write verify_report.csv."""
+    requested = _suite_names(config["verify"]["suites"]) or list(SUITES)
     prior = build_prior(config)
     noise = build_noise(config)
     procs = _processes_for_verify(config, prior)
-
-    def run(name):
-        return name, SUITES[name](config, prior, noise, procs)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(run, requested))
-    else:
-        results = dict(run(name) for name in requested)
+    results = [(name, *SUITES[name](config, prior, noise, procs)) for name in requested]
     failures = 0
     report_path = os.path.join(out_dir, "verify_report.csv")
     with open(report_path, "w") as f:
         f.write("suite,result,detail\n")
-        for name in requested:  # deterministic order regardless of jobs
-            passed, detail = results[name]
+        for name, passed, detail in results:
             verdict = "PASS" if passed else "FAIL"
             print(f"{verdict} {name}: {detail}")
             f.write(f'{name},{verdict},"{detail}"\n')
@@ -523,7 +519,7 @@ def cmd_verify(config, out_dir, jobs) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def cmd_sweep(config, out_dir, jobs) -> int:
+def cmd_sweep(config, out_dir) -> int:
     prior = build_prior(config)
     proc = build_process(config, prior)
     noise = build_noise(config)
@@ -580,7 +576,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the experiment config file")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for independent runs")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and has no effect")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     try:
         args = parser.parse_args(argv)
@@ -593,7 +589,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out_dir = args.out if args.out is not None else config["output"]["dir"]
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](config, out_dir, args.jobs)
+        return _COMMANDS[args.command](config, out_dir)
     except (ConfigError, ValueError) as exc:
         # ValueError: a setting the library refuses (e.g. a noiseless oracle).
         print(f"error: {exc}", file=sys.stderr)

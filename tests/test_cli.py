@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,8 @@ def test_out_of_range_value_rejected(tmp_path):
     assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
 
 
-# (section, key, value, loads). load_config checks [noise] and [sampler] by
+# (section, key, value, loads). Every float key refuses nan and +-inf.
+# load_config checks [noise] and [sampler] by
 # building NoiseSchedule and SamplerConfig, so their cross-field rules apply;
 # [schedule] m must leave room for both endpoints among n_candidates (101).
 LOAD_CASES = [
@@ -107,11 +109,11 @@ LOAD_CASES = [
     ("sampler", "eta", "0", True),
     ("sampler", "eta", "-0.0", True),
     ("sampler", "eta", "nan", False),
-    ("sampler", "eta", "inf", True),
+    ("sampler", "eta", "inf", False),
     ("sampler", "small_dt", "-1", False),
     ("sampler", "small_dt", "0", True),  # 0 = unset
     ("sampler", "small_dt", "nan", False),
-    ("sampler", "small_dt", "inf", True),
+    ("sampler", "small_dt", "inf", False),
     ("sampler", "small_dt", "0.01", True),
     ("sampler", "guidance", "bogus", False),
     ("sampler", "guidance", "error_scaled", True),
@@ -120,9 +122,18 @@ LOAD_CASES = [
     ("sampler", "variant", "bogus", False),
     ("sampler", "variant", "SLA", False),  # no small_dt
     ("sampler", "variant", "LB", True),
+    ("prior", "mean", "inf", False),
+    ("prior", "mean", "-inf", False),
+    ("prior", "mean", "nan", False),
+    ("prior", "mean", "-2.5", True),
+    ("process", "w_max", "inf", False),
     ("process", "kernel_size", "5", False),  # removed: blur has no kernel size
     ("process", "w_final", "0", True),  # 0 = auto
     ("process", "w_final", "-1", False),
+    ("process", "w_final", "inf", False),
+    ("training", "step_size", "inf", False),
+    ("verify", "suites", "nonsense", False),
+    ("verify", "suites", "tweedie, thm34", True),
     ("schedule", "m", "99", True),
     ("schedule", "m", "100", False),
 ]
@@ -384,8 +395,8 @@ def test_verify_report_independent_of_hash_seed(tmp_path):
 
 
 def test_verify_parallel_matches_serial(tmp_path, capsys):
-    # All seven suites, so the operators they share run on several threads;
-    # a short switch interval makes the threads interleave more often.
+    # --jobs is accepted and changes nothing: all seven suites print what the
+    # default prints, under a short switch interval that would interleave threads.
     cfg = write_config(tmp_path,
                        "\n[verify]\nseeds = 8\n"
                        "\n[schedule]\nm = 2\nn_candidates = 11\ndataset_size = 4\n")
@@ -398,6 +409,19 @@ def test_verify_parallel_matches_serial(tmp_path, capsys):
     finally:
         sys.setswitchinterval(interval)
     assert capsys.readouterr().out == serial
+
+
+def test_verify_runs_every_suite_on_the_main_thread(tmp_path, monkeypatch):
+    threads = []
+    for name in list(cli.SUITES):
+        def record(*args, name=name):
+            threads.append((name, threading.current_thread()))
+            return True, "recorded"
+
+        monkeypatch.setitem(cli.SUITES, name, record)
+    cfg = write_config(tmp_path)
+    assert run(["verify", "--config", cfg, "--jobs", "3"]) == cli.EXIT_OK
+    assert threads == [(name, threading.main_thread()) for name in cli.SUITES]
 
 
 def test_verify_thm36_negative_control(tmp_path, capsys, monkeypatch):

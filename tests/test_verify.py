@@ -4,7 +4,7 @@ import pytest
 from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import GroundTruthDenoiser, OracleDenoiser
-from dirac.sampler import SamplerConfig
+from dirac.sampler import SamplerConfig, dirac_sample
 from dirac.sdp import NoiseSchedule, sdp_sample
 from dirac.verify import (
     check_pair_consistency,
@@ -96,6 +96,37 @@ def test_theorem_dc_deterministic(setup):
     a = verify_theorem_dc(proc, noise, x0, delta_t=0.5, n_seeds=16, base_seed=3)
     b = verify_theorem_dc(proc, noise, x0, delta_t=0.5, n_seeds=16, base_seed=3)
     assert a.deviations == b.deviations
+
+
+@pytest.mark.parametrize("kind", ["inpaint", "blur"])
+@pytest.mark.parametrize("delta_t", [0.05, 0.25, 0.3])
+def test_theorem_dc_matches_severity_keyed_average(setup, kind, delta_t):
+    # the iterates summed by step index equal a sum keyed on each rounded severity
+    _, _, noise, x0 = setup
+    proc = GaussianBlurProcess(SHAPE) if kind == "blur" else GaussianMaskInpaintProcess(SHAPE)
+    n_seeds, base_seed = 6, 2
+    report = verify_theorem_dc(proc, noise, x0, delta_t, n_seeds, base_seed=base_seed)
+    den = GroundTruthDenoiser(x0)
+    clean_deg = proc.apply(1.0, x0)
+    rng = RandomSource(base_seed)
+    per_tau, counts = {}, {}
+    for s in range(n_seeds):
+        y_tilde = clean_deg.with_values(
+            clean_deg.values + noise.sigma(1.0) * rng.split(s).split(0).normal(x0.n))
+        config = SamplerConfig(delta_t=delta_t, output_mode="final_iterate",
+                               seed=base_seed * 1_000_003 + s)
+        traj = dirac_sample(den, proc, noise, y_tilde, config)
+        records = [(step.t, step.iterate.values) for step in traj.steps]
+        records.append((max(traj.steps[-1].t - delta_t, 0.0), traj.output.values))
+        for t, vals in records:
+            key = round(t, 12)
+            per_tau[key] = per_tau.get(key, 0.0) + vals
+            counts[key] = counts.get(key, 0) + 1
+    taus = sorted(per_tau, reverse=True)
+    deviations = [float(np.linalg.norm(per_tau[key] / counts[key] - proc.apply(key, x0).values))
+                  / np.sqrt(x0.n) for key in taus]
+    assert report.taus == taus
+    assert report.deviations == deviations
 
 
 def test_theorem_bound_exact_oracle_gives_zero_lhs(setup):
