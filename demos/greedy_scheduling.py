@@ -12,7 +12,7 @@ from dirac.schedule import (
     build_distance_table,
     greedy_schedule,
     max_edge_distance,
-    uniform_schedule,
+    uniform_indices,
 )
 
 
@@ -25,17 +25,13 @@ def main():
 
     m = 6
     minmax = greedy_schedule(table, m)
-    uniform = uniform_schedule(table, m)
 
     print(f"{m} interior knots on {table.size} candidates")
     print("min-max knots (t, w):")
     for t, w in minmax.knots:
         print(f"  t={t:.3f}  w={w:.3f}")
     g = minmax.max_edge_trace[-1]
-    u = max_edge_distance(
-        table,
-        [round(i * (table.size - 1) / (m + 1)) for i in range(m + 2)],
-    )
+    u = max_edge_distance(table, uniform_indices(table.size, m))
     print(f"max edge distance: min-max {g:.4f} vs uniform {u:.4f}")
     print("optimum by interior knots:", " ".join(f"{d:.4f}" for d in minmax.max_edge_trace))
 

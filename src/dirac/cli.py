@@ -17,12 +17,12 @@ import numpy as np
 from .core import (
     GaussianPrior,
     RandomSource,
-    Signal,
     prior_nll,
     prior_sample,
     psnr,
     read_signal,
     squared_exponential_prior,
+    write_csv,
     write_pgm,
 )
 from .degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
@@ -30,18 +30,21 @@ from .denoise import (
     AffineDenoiser,
     GroundTruthDenoiser,
     OracleDenoiser,
+    check_training_loss,
     load_model,
     save_model,
     train_affine,
 )
 from .sampler import SamplerConfig, dirac_sample, write_trajectory_csv
 from .schedule import (
+    SeveritySchedule,
     build_distance_table,
     check_knot_count,
     greedy_schedule,
     load_schedule,
     max_edge_distance,
     save_schedule,
+    uniform_indices,
 )
 from .sdp import NoiseSchedule, marginal_score, sdp_sample
 from .verify import (
@@ -112,7 +115,7 @@ _SCHEMA = {
         "seed": (int, _nonneg, 0),
     },
     "training": {
-        "loss": (str, lambda v: v in ("denoising", "incremental"), "denoising"),
+        "loss": (str, None, "denoising"),
         "delta_t": (_finite_float, lambda v: 0.0 <= v <= 1.0, 0.0),
         "bins": (int, _positive, 8),
         "steps": (int, _nonneg, 1000),
@@ -161,8 +164,9 @@ def load_config(path) -> dict:
 
     Unknown sections or keys abort; every float must be finite and every
     value is range-checked, the [noise] and [sampler] sections by building
-    NoiseSchedule and SamplerConfig from them and [schedule] m by
-    check_knot_count; every referenced file must exist.
+    NoiseSchedule and SamplerConfig from them, [schedule] m by
+    check_knot_count and the [training] loss by check_training_loss; every
+    referenced file must exist, and blending takes no schedule file.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
@@ -197,9 +201,12 @@ def load_config(path) -> dict:
         ref = config[section][key]
         if ref and not os.path.isfile(ref):
             raise ConfigError(f"[{section}] {key}: file not found: {ref}")
+    if config["process"]["kind"] == "blending" and config["process"]["schedule_file"]:
+        raise ConfigError("[process] schedule_file: blending has no width schedule")
     knots = lambda c: check_knot_count(c["schedule"]["m"], c["schedule"]["n_candidates"])
+    loss = lambda c: check_training_loss(c["training"]["loss"], c["training"]["delta_t"])
     for section, build in (("noise", build_noise), ("sampler", build_sampler_config),
-                           ("schedule", knots)):
+                           ("schedule", knots), ("training", loss)):
         try:
             build(config)
         except ValueError as exc:
@@ -228,11 +235,17 @@ def build_prior(config) -> GaussianPrior:
 
 
 def build_process(config, prior: GaussianPrior):
+    """The configured process, refusing a blur wider than the image (it would add nothing)."""
     c = config["process"]
     shape = prior.mean.shape
     schedule = load_schedule(c["schedule_file"]) if c["schedule_file"] else None
     if c["kind"] == "blur":
-        return GaussianBlurProcess(shape, schedule=schedule, w_min=c["w_min"], w_max=c["w_max"])
+        proc = GaussianBlurProcess(shape, schedule=schedule, w_min=c["w_min"], w_max=c["w_max"])
+        widest = proc.param_of(1.0)
+        if widest > max(shape):
+            raise ConfigError(f"{c['schedule_file'] or '[process] w_max'}: blur width "
+                              f"{widest:.9g} exceeds the image's larger side {max(shape)}")
+        return proc
     if c["kind"] == "inpaint":
         return GaussianMaskInpaintProcess(
             shape, schedule=schedule, k=c["k"], w_final=c["w_final"] or None
@@ -272,8 +285,10 @@ def cmd_schedule(config, out_dir) -> int:
     dataset = _prior_dataset(prior, c["dataset_size"], c["seed"])
     table = build_distance_table(proc, dataset, n_candidates=c["n_candidates"])
     sched = greedy_schedule(table, c["m"])
+    # Knot k of m + 2 at severity k/(m+1): equal steps in t then cover equal distances.
+    equal = SeveritySchedule(tuple((k / (c["m"] + 1), w) for k, (_, w) in enumerate(sched.knots)))
     path = os.path.join(out_dir, "schedule.txt")
-    save_schedule(sched, path, process_name=table.process_name,
+    save_schedule(equal, path, process_name=table.process_name,
                   metric_name=table.metric_name, n_candidates=c["n_candidates"])
     for i, d in enumerate(sched.max_edge_trace or ()):
         print(f"{i} interior knots: max edge distance {d:.9g}")
@@ -296,10 +311,7 @@ def cmd_train(config, out_dir) -> int:
         rng=RandomSource(c["seed"]),
     )
     csv_path = os.path.join(out_dir, "train_loss.csv")
-    with open(csv_path, "w") as f:
-        f.write("step,loss\n")
-        for i, loss in enumerate(report.losses):
-            f.write(f"{i},{loss:.9g}\n")
+    write_csv(csv_path, "step,loss", enumerate(report.losses))
     if report.diverged:
         print(f"training diverged at step {report.steps_run}; partial loss CSV at {csv_path}")
         return EXIT_FAIL
@@ -457,16 +469,19 @@ def _suite_pd_curve(config, prior, noise, procs):
                 f"final nll {report.final_nll:.6g} vs peak nll {report.peak_nll:.6g}")
 
 
+def _perturbed_blur(proc):
+    """Factory of the operator sweeps: proc's blur with every schedule width times mult."""
+    knots = proc.schedule.knots
+    return lambda mult: GaussianBlurProcess(
+        proc.shape, schedule=SeveritySchedule(tuple((t, w * mult) for t, w in knots)))
+
+
 def _suite_robustness(config, prior, noise, procs):
-    shape = prior.mean.shape
     proc = procs["blur"]
     den = OracleDenoiser(prior, proc, noise)
     cfg = SamplerConfig(delta_t=0.05)
-    op = robustness_sweep(
-        den, proc, noise, prior, cfg, kind="operator",
-        perturbed_process_factory=lambda mult: GaussianBlurProcess(
-            shape, w_min=0.3 * mult, w_max=3.0 * mult),
-    )
+    op = robustness_sweep(den, proc, noise, prior, cfg, kind="operator",
+                          perturbed_process_factory=_perturbed_blur(proc))
     nz = robustness_sweep(den, proc, noise, prior, cfg, kind="noise", grid=_NOISE_GRID)
     values = op.psnr + op.nll + nz.psnr + nz.nll
     ok = all(np.isfinite(v) for v in values)
@@ -482,7 +497,7 @@ def _suite_scheduler(config, prior, noise, procs):
         trace = greedy_schedule(table, m).max_edge_trace
         if any(b > a + 1e-12 for a, b in zip(trace, trace[1:])):
             return False, f"max edge increased with more knots (m={m})"
-        u_max = max_edge_distance(table, np.linspace(0, table.size - 1, m + 2).round().astype(int))
+        u_max = max_edge_distance(table, uniform_indices(table.size, m))
         if trace[-1] > u_max + 1e-12:
             return False, f"min-max edge {trace[-1]:.4g} > uniform {u_max:.4g} (m={m})"
     return True, "min-max beats or ties uniform; trace non-increasing"
@@ -506,15 +521,12 @@ def cmd_verify(config, out_dir) -> int:
     noise = build_noise(config)
     procs = _processes_for_verify(config, prior)
     results = [(name, *SUITES[name](config, prior, noise, procs)) for name in requested]
-    failures = 0
-    report_path = os.path.join(out_dir, "verify_report.csv")
-    with open(report_path, "w") as f:
-        f.write("suite,result,detail\n")
-        for name, passed, detail in results:
-            verdict = "PASS" if passed else "FAIL"
-            print(f"{verdict} {name}: {detail}")
-            f.write(f'{name},{verdict},"{detail}"\n')
-            failures += not passed
+    rows = [(name, "PASS" if passed else "FAIL", detail) for name, passed, detail in results]
+    for name, verdict, detail in rows:
+        print(f"{verdict} {name}: {detail}")
+    write_csv(os.path.join(out_dir, "verify_report.csv"), "suite,result,detail",
+              ((name, verdict, f'"{detail}"') for name, verdict, detail in rows))
+    failures = sum(not passed for _, passed, _ in results)
     print(f"{len(requested) - failures}/{len(requested)} suites passed")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
@@ -531,31 +543,23 @@ def cmd_sweep(config, out_dir) -> int:
         report = perception_distortion_sweep(den, proc, noise, prior, cfg,
                                              runs=c["runs"], base_seed=c["seed"])
         path = os.path.join(out_dir, "pd_curve.csv")
-        with open(path, "w") as f:
-            f.write("t,psnr_mean,psnr_std,nll_mean,nll_std\n")
-            for row in zip(report.ts, report.psnr_mean, report.psnr_std,
-                           report.nll_mean, report.nll_std):
-                f.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv(path, "t,psnr_mean,psnr_std,nll_mean,nll_std",
+                  zip(report.ts, report.psnr_mean, report.psnr_std, report.nll_mean,
+                      report.nll_std))
         print(f"peak psnr {report.peak_psnr:.6g} at t={report.peak_t:.6g}; "
               f"final nll {report.final_nll:.6g}")
     else:
         if kind == "operator":
             if config["process"]["kind"] != "blur":
                 raise ConfigError("operator sweep is defined for the blur process")
-            factory = lambda mult: GaussianBlurProcess(
-                proc.shape, w_min=config["process"]["w_min"] * mult,
-                w_max=config["process"]["w_max"] * mult)
             report = robustness_sweep(den, proc, noise, prior, cfg, kind="operator",
                                       base_seed=c["seed"],
-                                      perturbed_process_factory=factory)
+                                      perturbed_process_factory=_perturbed_blur(proc))
         else:
             report = robustness_sweep(den, proc, noise, prior, cfg, kind="noise",
                                       grid=_NOISE_GRID, base_seed=c["seed"])
         path = os.path.join(out_dir, f"robustness_{kind}.csv")
-        with open(path, "w") as f:
-            f.write(f"{kind},psnr,nll\n")
-            for row in zip(report.grid, report.psnr, report.nll):
-                f.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv(path, f"{kind},psnr,nll", zip(report.grid, report.psnr, report.nll))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -20,6 +20,7 @@ __all__ = [
     "mse",
     "psnr",
     "write_pgm",
+    "write_csv",
     "write_signal",
     "read_signal",
 ]
@@ -205,6 +206,15 @@ def write_pgm(signal: Signal, path) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Header, then a line per row: str and int as written, floats at 9 significant digits."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            cells = (str(v) if isinstance(v, (str, int)) else f"{v:.9g}" for v in row)
+            f.write(",".join(cells) + "\n")
 
 
 def write_signal(signal: Signal, path) -> None:

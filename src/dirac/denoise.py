@@ -28,6 +28,7 @@ __all__ = [
     "score_from_denoiser",
     "loss_denoising",
     "loss_incremental",
+    "check_training_loss",
     "train_affine",
     "TrainingReport",
     "save_model",
@@ -228,6 +229,14 @@ def affine_loss_gradients(model: AffineDenoiser, proc, noise, delta_t: float, ba
     return g_d, g_c
 
 
+def check_training_loss(loss_kind: str, delta_t: float) -> None:
+    """A known loss kind; denoising is the incremental loss at delta_t = 0, and only there."""
+    if loss_kind not in ("denoising", "incremental"):
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    if loss_kind == "denoising" and delta_t != 0.0:
+        raise ValueError(f"loss = denoising trains at delta_t = 0, not {delta_t:g}")
+
+
 def train_affine(
     model: AffineDenoiser,
     proc: DegradationProcess,
@@ -236,7 +245,7 @@ def train_affine(
     loss_kind: str = "denoising",
     delta_t: float = 0.0,
     steps: int = 1000,
-    step_size: float = 1e-2,
+    step_size: float = 1e-5,
     batch_size: int = 32,
     rng: RandomSource | None = None,
 ) -> TrainingReport:
@@ -247,10 +256,7 @@ def train_affine(
     """
     if steps < 0 or step_size <= 0 or batch_size <= 0:
         raise ValueError("steps, step_size and batch_size must be positive")
-    if loss_kind not in ("denoising", "incremental"):
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    if loss_kind == "denoising":
-        delta_t = 0.0
+    check_training_loss(loss_kind, delta_t)
     if rng is None:
         rng = RandomSource(0)
     report = TrainingReport()

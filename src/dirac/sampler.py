@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianPrior, RandomSource, Signal, mse, prior_nll, psnr
+from .core import GaussianPrior, RandomSource, Signal, mse, prior_nll, psnr, write_csv
 from .degrade import DegradationProcess
 from .denoise import Denoiser
 from .sdp import NoiseSchedule
@@ -46,6 +46,14 @@ def _snap(t: float) -> float:
     return 0.0 if t < _T_EPS else t
 
 
+def _check_variant(variant: str, small_dt: float | None, delta_t: float) -> None:
+    """A known increment variant; SLA and SLB also need 0 < small_dt < delta_t."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown increment variant {variant!r}")
+    if variant in ("SLA", "SLB") and (small_dt is None or not 0.0 < small_dt < delta_t):
+        raise ValueError("SLA/SLB require 0 < small_dt < delta_t")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     delta_t: float = 0.02
@@ -70,11 +78,7 @@ class SamplerConfig:
             raise ValueError(f"unknown guidance mode {self.guidance_mode!r}")
         if self.output_mode not in _OUTPUT_MODES:
             raise ValueError(f"unknown output mode {self.output_mode!r}")
-        if self.increment_variant not in _VARIANTS:
-            raise ValueError(f"unknown increment variant {self.increment_variant!r}")
-        if self.increment_variant in ("SLA", "SLB"):
-            if self.small_dt is None or not 0.0 < self.small_dt < self.delta_t:
-                raise ValueError("SLA/SLB require 0 < small_dt < delta_t")
+        _check_variant(self.increment_variant, self.small_dt, self.delta_t)
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,7 @@ def incremental_estimate(
     clamped to [0,1]. x_hat, when given, is taken as den.estimate(y, t)
     instead of asking the denoiser again, and a_t as proc.apply(t, x_hat).
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown increment variant {variant!r}")
-    if variant in ("SLA", "SLB") and (small_dt is None or not 0.0 < small_dt < delta_t):
-        raise ValueError("SLA/SLB require 0 < small_dt < delta_t")
+    _check_variant(variant, small_dt, delta_t)
     if delta_t == 0.0:
         return y.with_values(np.zeros(y.n))
     est = den.estimate(y, t) if x_hat is None else x_hat
@@ -272,11 +273,6 @@ def dirac_sample(
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per executed step; decimals carry 9 significant digits."""
-    with open(path, "w") as f:
-        f.write("step,t,eps_dc,psnr,prior_nll\n")
-        for i, step in enumerate(traj.steps):
-            f.write(
-                f"{i},{step.t:.9g},{step.eps_dc:.9g},"
-                f"{step.psnr_vs_truth:.9g},{step.prior_nll:.9g}\n"
-            )
+    """One row per executed step, in write_csv's row format."""
+    write_csv(path, "step,t,eps_dc,psnr,prior_nll",
+              ((i, s.t, s.eps_dc, s.psnr_vs_truth, s.prior_nll) for i, s in enumerate(traj.steps)))

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 
 __all__ = [
     "SeveritySchedule",
+    "linear_schedule",
     "DistanceTable",
     "rmse_metric",
     "pairwise_distance",
     "build_distance_table",
     "check_knot_count",
     "greedy_schedule",
+    "uniform_indices",
     "uniform_schedule",
     "max_edge_distance",
     "save_schedule",
@@ -177,10 +179,14 @@ def greedy_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
     return SeveritySchedule(knots, max_edge_trace=tuple(trace))
 
 
+def uniform_indices(size: int, m: int) -> np.ndarray:
+    """Indices of m interior knots and both endpoints, uniformly spaced over size candidates."""
+    return np.linspace(0, size - 1, m + 2).round().astype(int)
+
+
 def uniform_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
     """Uniformly spaced knots on the same candidate grid, for comparison."""
-    N = table.size
-    idx = np.linspace(0, N - 1, m + 2).round().astype(int)
+    idx = uniform_indices(table.size, m)
     knots = tuple((float(table.candidates[i]), float(table.params[i])) for i in idx)
     return SeveritySchedule(knots)
 

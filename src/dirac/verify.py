@@ -122,14 +122,8 @@ def verify_theorem_dc(
             y_tilde = clean_deg.with_values(
                 clean_deg.values + sigma1 * seed_rng.split(0).normal(x0.n)
             )
-        config = SamplerConfig(
-            delta_t=delta_t,
-            eta=0.0,
-            guidance_mode="none",
-            increment_variant="LA",
-            output_mode="final_iterate",
-            seed=base_seed * 1_000_003 + s,
-        )
+        config = SamplerConfig(delta_t=delta_t, output_mode="final_iterate",
+                               seed=base_seed * 1_000_003 + s)
         traj = dirac_sample(den, proc, noise, y_tilde, config)
         total = total + np.array([step.iterate.values for step in traj.steps]
                                  + [traj.output.values])

@@ -132,6 +132,9 @@ LOAD_CASES = [
     ("process", "w_final", "-1", False),
     ("process", "w_final", "inf", False),
     ("training", "step_size", "inf", False),
+    ("training", "delta_t", "0.3", False),  # the denoising loss trains at delta_t = 0
+    ("training", "loss", "incremental", True),
+    ("training", "loss", "bogus", False),
     ("verify", "suites", "nonsense", False),
     ("verify", "suites", "tweedie, thm34", True),
     ("schedule", "m", "99", True),
@@ -185,6 +188,67 @@ def test_schedule_m_too_large_exits_before_any_table(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "m=100 too large for 101 candidates" in err[0]
+
+
+@pytest.mark.parametrize("source", ["w_max", "schedule_file"])
+def test_blur_wider_than_image_exits_before_any_table(tmp_path, capsys, monkeypatch, source):
+    # _blur_variance loops ceil(4w) times: w_max = 1e300 once kept this command running
+    from dirac.schedule import SeveritySchedule, save_schedule
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the distance table was built")
+
+    monkeypatch.setattr(cli, "build_distance_table", refuse)
+    path = tmp_path / "wide.txt"
+    save_schedule(SeveritySchedule(((0.0, 0.3), (1.0, 1e6))), path, n_candidates=11)
+    setting = "w_max = 1e6" if source == "w_max" else f"schedule_file = {path}"
+    cfg = write_config(tmp_path, f"\n[process]\nkind = blur\n{setting}\n")
+    assert run(["schedule", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    named = "[process] w_max" if source == "w_max" else str(path)
+    assert named in err[0] and "blur width 1000000 exceeds the image's larger side 6" in err[0]
+
+
+def test_blur_as_wide_as_image_is_accepted(tmp_path):
+    cfg = write_config(tmp_path, "\n[process]\nkind = blur\nw_max = 6\n"
+                                 "\n[schedule]\nm = 1\nn_candidates = 5\ndataset_size = 2\n")
+    assert run(["schedule", "--config", cfg]) == cli.EXIT_OK
+
+
+def test_blending_refuses_schedule_file(tmp_path):
+    from dirac.schedule import SeveritySchedule, save_schedule
+
+    path = tmp_path / "schedule.txt"
+    save_schedule(SeveritySchedule(((0.0, 0.0), (1.0, 1.0))), path)
+    cfg = write_config(tmp_path, f"\n[process]\nkind = blending\nschedule_file = {path}\n")
+    with pytest.raises(cli.ConfigError, match=r"\[process\] schedule_file"):
+        cli.load_config(cfg)
+
+
+@pytest.mark.parametrize("kind", ["blur", "inpaint"])
+def test_schedule_file_spaces_knots_evenly_and_changes_the_sample(tmp_path, kind):
+    from dirac.schedule import greedy_schedule, load_schedule
+
+    def config(schedule_file=""):
+        return write_config(tmp_path, f"\n[prior]\nshape = 8x8\n"
+                                      f"\n[process]\nkind = {kind}\nschedule_file = {schedule_file}\n"
+                                      "\n[schedule]\nm = 5\nn_candidates = 41\n")
+
+    out = tmp_path / "out"
+    assert run(["schedule", "--config", config()]) == cli.EXIT_OK
+    loaded = load_schedule(str(out / "schedule.txt"))
+    conf = cli.load_config(config())
+    prior = cli.build_prior(conf)
+    table = cli.build_distance_table(cli.build_process(conf, prior),
+                                     cli._prior_dataset(prior, 8, 0), n_candidates=41)
+    for k, (_, w) in enumerate(greedy_schedule(table, 5).knots):
+        assert loaded.interpolate(k / 6) == pytest.approx(w, rel=1e-8, abs=1e-12)
+
+    assert run(["sample", "--config", config()]) == cli.EXIT_OK
+    plain = (out / "trajectory.csv").read_bytes()
+    assert run(["sample", "--config", config(out / "schedule.txt")]) == cli.EXIT_OK
+    assert (out / "trajectory.csv").read_bytes() != plain
 
 
 def test_schedule_reruns_byte_identical(tmp_path):
@@ -348,7 +412,8 @@ def test_truncated_schedule_file_exits_2(tmp_path, capsys):
     from dirac.schedule import SeveritySchedule, save_schedule
 
     full = tmp_path / "full.txt"
-    save_schedule(SeveritySchedule(((0.0, 0.3), (0.4, 1.1), (1.0, 3.0))), full,
+    # widest width 2: the runs are at 2x2, and a blur wider than the image is refused
+    save_schedule(SeveritySchedule(((0.0, 0.3), (0.4, 1.1), (1.0, 2.0))), full,
                   process_name="GaussianBlurProcess", n_candidates=11)
     _every_cut_exits_2(tmp_path, capsys, full.read_bytes(),
                        "\n[process]\nkind = blur\nschedule_file = {path}\n")
@@ -460,6 +525,24 @@ def test_sweep_noise_writes_grid(tmp_path):
     assert run(["sweep", "--config", cfg]) == cli.EXIT_OK
     lines = (tmp_path / "out" / "robustness_noise.csv").read_text().splitlines()
     assert lines[0] == "noise,psnr,nll"
+
+
+def test_sweep_operator_scales_the_configured_schedule(tmp_path, monkeypatch):
+    from dirac.schedule import SeveritySchedule, save_schedule
+
+    path = tmp_path / "schedule.txt"
+    save_schedule(SeveritySchedule(((0.0, 0.5), (0.5, 0.7), (1.0, 2.0))), path)
+    seen = {}
+
+    def capture(*args, perturbed_process_factory, **kwargs):
+        seen["knots"] = perturbed_process_factory(1.5).schedule.knots
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "robustness_sweep", capture)
+    cfg = write_config(tmp_path, f"\n[process]\nkind = blur\nschedule_file = {path}\n"
+                                 "\n[sweep]\nkind = operator\n")
+    assert run(["sweep", "--config", cfg]) == cli.EXIT_USAGE
+    assert seen["knots"] == ((0.0, 0.75), (0.5, 0.7 * 1.5), (1.0, 3.0))
 
 
 def test_sweep_operator_requires_blur(tmp_path):

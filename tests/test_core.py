@@ -18,6 +18,7 @@ from dirac.core import (
     psnr,
     read_signal,
     squared_exponential_prior,
+    write_csv,
     write_pgm,
     write_signal,
 )
@@ -143,6 +144,20 @@ def test_write_pgm(tmp_path):
     assert data.startswith(b"P5")
     # values clipped to [0,1] then scaled to 255
     assert data[-4:] == bytes([0, 128, 255, 255])
+
+
+def test_write_csv_row_format(tmp_path):
+    # every CSV the commands write: ints and strings as written, floats at 9 significant digits
+    path = tmp_path / "rows.csv"
+    write_csv(path, "a,b,c,d", [(0, 0.1, 1 / 3, '"x, y"'),
+                                (12, 123456789.123, -2.5e-20, "FAIL"),
+                                (3, math.nan, math.inf, -math.inf),
+                                (4, np.float64(2.0), np.float64(0.05), 7)])
+    assert path.read_bytes() == (b"a,b,c,d\n"
+                                 b'0,0.1,0.333333333,"x, y"\n'
+                                 b"12,123456789,-2.5e-20,FAIL\n"
+                                 b"3,nan,inf,-inf\n"
+                                 b"4,2,0.05,7\n")
 
 
 def test_signal_file_roundtrip(tmp_path):

@@ -349,6 +349,22 @@ def test_train_divergence_abort(setup):
     assert report.steps_run < 200
 
 
+def test_train_default_step_size_does_not_diverge(setup):
+    prior, proc, noise = setup
+    model = AffineDenoiser.initialized(prior)
+    report = train_affine(model, proc, noise, prior, steps=20, batch_size=8, rng=RandomSource(21))
+    assert not report.diverged and report.steps_run == 20
+
+
+@pytest.mark.parametrize("loss_kind,delta_t", [("denoising", 0.3), ("bogus", 0.0)])
+def test_train_refuses_loss_rule_violations(setup, loss_kind, delta_t):
+    # the denoising loss trains at delta_t = 0 only; another delta_t is refused, not overridden
+    prior, proc, noise = setup
+    model = AffineDenoiser.initialized(prior)
+    with pytest.raises(ValueError, match="loss"):
+        train_affine(model, proc, noise, prior, loss_kind=loss_kind, delta_t=delta_t, steps=1)
+
+
 def test_train_zero_steps_keeps_initialization(setup):
     prior, proc, noise = setup
     model = AffineDenoiser.initialized(prior)

@@ -52,6 +52,17 @@ def test_config_validation():
         SamplerConfig(small_dt=-1.0)  # set but not positive, for any variant
 
 
+@pytest.mark.parametrize("variant,small_dt", [("XX", None), ("SLA", None), ("SLB", 0.1),
+                                              ("SLA", 0.0)])
+def test_config_and_step_refuse_the_same_variants(setup, variant, small_dt):
+    _, proc, _, x0, y_tilde = setup
+    with pytest.raises(ValueError) as config_error:
+        SamplerConfig(delta_t=0.1, increment_variant=variant, small_dt=small_dt or None)
+    with pytest.raises(ValueError) as step_error:
+        incremental_estimate(GroundTruthDenoiser(x0), proc, 0.5, 0.1, y_tilde, variant, small_dt)
+    assert str(step_error.value) == str(config_error.value)
+
+
 def test_severity_grid_and_step_count(setup):
     _, proc, noise, x0, y_tilde = setup
     traj = dirac_sample(GroundTruthDenoiser(x0), proc, noise, y_tilde,

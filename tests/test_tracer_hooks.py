@@ -5,6 +5,7 @@ to build_distance_table, so renaming a patched attribute or breaking the
 metric= contract would otherwise show only in a traced benchmark run.
 """
 
+import ast
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -81,3 +82,20 @@ def test_tracer_sees_every_sampler_term_once_per_step(spans):
                  "core.prior_nll"):
         assert spans_by_name[name] == 4, name
     assert tracer.per_layer()["sampler.estimates_per_step"] == 1.0
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "spans.py"])
+def test_benchmark_names_exist(script):
+    # every `<module>.<attr>` the benchmark reads on a dirac module must still be there
+    tree = ast.parse((PERFBENCH / script).read_text())
+    modules = {alias.asname or alias.name: importlib.import_module(f"dirac.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "dirac"
+               for alias in node.names}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert used
+    missing = sorted(f"{module}.{attr}" for module, attr in used
+                     if not hasattr(modules[module], attr))
+    assert not missing
