@@ -8,6 +8,7 @@ config, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from configparser import ConfigParser
@@ -221,6 +222,9 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad shape {text!r}") from exc
     if not 1 <= len(dims) <= 2 or any(d <= 0 for d in dims):
         raise ConfigError(f"bad shape {text!r}")
+    # at one pixel the inpainting mask zeroes the whole image and verify's audit never ends
+    if math.prod(dims) < 2:
+        raise ConfigError(f"[prior] shape = {text!r}: an image needs at least 2 pixels")
     return dims
 
 
@@ -235,23 +239,24 @@ def build_prior(config) -> GaussianPrior:
 
 
 def build_process(config, prior: GaussianPrior):
-    """The configured process, refusing a blur wider than the image (it would add nothing)."""
+    """The configured process, refusing a blur wider than the image (it would add nothing)
+    and a schedule file written for another family."""
     c = config["process"]
     shape = prior.mean.shape
-    schedule = load_schedule(c["schedule_file"]) if c["schedule_file"] else None
-    if c["kind"] == "blur":
-        proc = GaussianBlurProcess(shape, schedule=schedule, w_min=c["w_min"], w_max=c["w_max"])
-        widest = proc.param_of(1.0)
-        if widest > max(shape):
-            raise ConfigError(f"{c['schedule_file'] or '[process] w_max'}: blur width "
-                              f"{widest:.9g} exceeds the image's larger side {max(shape)}")
-        return proc
+    if c["kind"] == "blending":
+        return BlendingProcess(prior_sample(prior, RandomSource(c["anchor_seed"])))
+    family = GaussianBlurProcess if c["kind"] == "blur" else GaussianMaskInpaintProcess
+    path = c["schedule_file"]
+    schedule = load_schedule(path, process_name=family.__name__) if path else None
     if c["kind"] == "inpaint":
-        return GaussianMaskInpaintProcess(
-            shape, schedule=schedule, k=c["k"], w_final=c["w_final"] or None
-        )
-    anchor = prior_sample(prior, RandomSource(c["anchor_seed"]))
-    return BlendingProcess(anchor)
+        return GaussianMaskInpaintProcess(shape, schedule=schedule, k=c["k"],
+                                          w_final=c["w_final"] or None)
+    proc = GaussianBlurProcess(shape, schedule=schedule, w_min=c["w_min"], w_max=c["w_max"])
+    widest = proc.param_of(1.0)
+    if widest > max(shape):
+        raise ConfigError(f"{path or '[process] w_max'}: blur width "
+                          f"{widest:.9g} exceeds the image's larger side {max(shape)}")
+    return proc
 
 
 def build_noise(config) -> NoiseSchedule:

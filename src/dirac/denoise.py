@@ -38,6 +38,8 @@ __all__ = [
 _MODEL_MAGIC = b"DIRACMDL"
 _MODEL_VERSION = 1
 _EPS = np.finfo(float).eps
+# Bytes of H_t^{-1} the oracle keeps: the 20 severities of a Δt = 0.05 schedule at 32×32.
+_INVERSE_CACHE_BYTES = 160 * 2**20
 
 
 class Denoiser(ABC):
@@ -60,12 +62,18 @@ class OracleDenoiser(Denoiser):
     estimate(y, t) = mu + H_t^{-1} M^T (y - A_t(mu)), H_t = sigma_t^2 Sigma^{-1} + M^T M: the
     information form of the gain Sigma M^T (M Sigma M^T + sigma_t^2 I)^{-1} (Bishop, PRML
     2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1}
-    is formed on the first cold severity and M^T M from the process's `gram`; each severity
-    caches the lower triangle of H_t^{-1}. At sigma_t = 0 the form stays exact where M^T M is
-    positive definite; a singular H_t (an operator that zeroes entries), or at sigma_t = 0 one
-    singular to working precision (blur at high severity), raises ValueError naming t and
-    sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: numpy bundles a second OpenBLAS,
-    whose pool a numpy `@` here would wake to spin against scipy's.
+    is formed on the first cold severity and M^T M from the process's `gram`. Each severity
+    caches the lower triangle of H_t^{-1}, up to _INVERSE_CACHE_BYTES (160 MiB) in all: a
+    trajectory visits each severity once, so only sweeps reuse entries. A new severity that
+    would overflow the cap evicts the most recently added entry and is itself kept, so
+    estimate and vjp at one t share a factorization. Under a sweep's cyclic traffic this
+    keeps the oldest entries warm, where evicting the oldest would miss on every severity
+    once they outnumber the cap; a severity factored again gives the same bits. At sigma_t = 0
+    the form stays exact where M^T M is positive definite; a singular H_t (an operator that
+    zeroes entries), or at sigma_t = 0 one singular to working precision (blur at high
+    severity), raises ValueError naming t and sigma_t. All dense algebra runs in scipy's
+    LAPACK/BLAS: numpy bundles a second OpenBLAS, whose pool a numpy `@` here would wake to
+    spin against scipy's.
     """
 
     supports_vjp = True
@@ -79,7 +87,11 @@ class OracleDenoiser(Denoiser):
 
     def _solve(self, t: float, x: np.ndarray) -> np.ndarray:
         """H_t^{-1} x, factoring H_t on the first call at t."""
-        if t not in self._inverse_cache:
+        cache = self._inverse_cache
+        if t not in cache:
+            entry = 8 * self.prior.n ** 2  # bytes of one n x n H_t^{-1}
+            while cache and (len(cache) + 1) * entry > _INVERSE_CACHE_BYTES:
+                cache.popitem()  # the newest entry
             if self._precision is None:
                 self._precision = lapack.dpotri(self.prior.cholesky_factor, lower=1)[0]
             s = self.noise.sigma(t)
@@ -92,8 +104,8 @@ class OracleDenoiser(Denoiser):
             # precision (reciprocal condition number below machine epsilon), as xGESVX does
             if info or (s == 0.0 and lapack.dpocon(chol, anorm, uplo="L")[0] < _EPS):
                 raise ValueError(f"posterior not positive definite at t={t:.6g}, sigma_t={s:.6g}")
-            self._inverse_cache[t] = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
-        return blas.dsymv(1.0, self._inverse_cache[t], x, lower=1)
+            cache[t] = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
+        return blas.dsymv(1.0, cache[t], x, lower=1)
 
     def estimate(self, y: Signal, t: float) -> Signal:
         resid = y.values - self.proc.apply(t, self.prior.mean).values

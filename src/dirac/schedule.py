@@ -226,8 +226,14 @@ def _numbers(path, rows, count: int, width: int) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_schedule(path) -> SeveritySchedule:
+def load_schedule(path, process_name: str = "") -> SeveritySchedule:
+    """The schedule in `path`; given `process_name`, refuse a file written for another process.
+
+    A file saved without a process name (header `process`) loads for any process.
+    """
     header, rows = _read_text(path, 4)
+    if process_name and header[0] not in (process_name, "process"):
+        raise ValueError(f"{path}: schedule written for {header[0]}, not {process_name}")
     return SeveritySchedule(tuple(map(tuple, _numbers(path, rows, int(header[3]) + 2, 2))))
 
 

@@ -210,6 +210,38 @@ def test_blur_wider_than_image_exits_before_any_table(tmp_path, capsys, monkeypa
     assert named in err[0] and "blur width 1000000 exceeds the image's larger side 6" in err[0]
 
 
+@pytest.mark.parametrize("shape,pixels", [("1", 1), ("1x1", 1), ("2", 2), ("1x2", 2),
+                                          ("2x1", 2)])
+def test_one_pixel_image_is_refused_at_build(tmp_path, capsys, shape, pixels):
+    # at one pixel inpainting masks the whole image: verify's bound audit looped forever
+    cfg = write_config(tmp_path, f"\n[prior]\nshape = {shape}\n"
+                                 "\n[schedule]\nm = 1\nn_candidates = 5\ndataset_size = 2\n")
+    config = cli.load_config(cfg)
+    if pixels == 2:
+        assert cli.build_prior(config).n == 2
+        return
+    with pytest.raises(cli.ConfigError, match="at least 2 pixels"):
+        cli.build_prior(config)
+    assert run(["schedule", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [prior] shape = {shape!r}: an image needs at least 2 pixels"]
+
+
+def test_schedule_file_of_another_family_exits_2(tmp_path, capsys):
+    from dirac.schedule import SeveritySchedule, save_schedule
+
+    path = tmp_path / "inpaint.txt"
+    save_schedule(SeveritySchedule(((0.0, 0.0), (0.5, 0.4), (1.0, 2.0))), path,
+                  process_name="GaussianMaskInpaintProcess", n_candidates=101)
+    cfg = write_config(tmp_path, f"\n[process]\nkind = blur\nschedule_file = {path}\n")
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: schedule written for GaussianMaskInpaintProcess, "
+                   "not GaussianBlurProcess"]
+    inpaint = write_config(tmp_path, f"\n[process]\nkind = inpaint\nschedule_file = {path}\n")
+    assert run(["sample", "--config", inpaint]) == cli.EXIT_OK
+
+
 def test_blur_as_wide_as_image_is_accepted(tmp_path):
     cfg = write_config(tmp_path, "\n[process]\nkind = blur\nw_max = 6\n"
                                  "\n[schedule]\nm = 1\nn_candidates = 5\ndataset_size = 2\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -191,6 +193,44 @@ def test_vjp_linearity(setup):
     lhs = oracle.vjp(y, 0.3, combo).values
     rhs = 2.0 * oracle.vjp(y, 0.3, u).values - 3.0 * oracle.vjp(y, 0.3, v).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def test_oracle_cache_keeps_its_oldest_severities_within_the_cap():
+    # 25 severities of 8 MiB at 32x32 against a 160 MiB cap: the cache holds 20, evicting
+    # the newest, so a rerun finds the first 19 warm and factors the last 6 again
+    class CountingInpaint(GaussianMaskInpaintProcess):
+        grams = 0
+
+        def gram(self, t):
+            CountingInpaint.grams += 1  # one per factorization
+            return super().gram(t)
+
+    shape = (32, 32)
+    prior = squared_exponential_prior(shape)
+    proc = CountingInpaint(shape)
+    noise = NoiseSchedule()
+    rng = RandomSource(5)
+    y_tilde = sdp_sample(proc, noise, prior_sample(prior, rng.split(0)), 1.0, rng.split(1))
+    oracle = OracleDenoiser(prior, proc, noise)
+    config = SamplerConfig(delta_t=0.04)
+    tracemalloc.start()
+    try:
+        first = dirac_sample(oracle, proc, noise, y_tilde, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first.steps) == 25 and CountingInpaint.grams == 25
+    assert peak <= 184 * 2**20  # 200 MiB of H_t^{-1} unbounded
+    CountingInpaint.grams = 0
+    second = dirac_sample(oracle, proc, noise, y_tilde, config)
+    assert CountingInpaint.grams == 6
+
+    def bits(traj):
+        steps = [(s.t, s.iterate.values.tobytes(), s.estimate.values.tobytes())
+                 for s in traj.steps]
+        return steps, traj.output.values.tobytes()
+
+    assert bits(second) == bits(first)
 
 
 # --- ground truth / scores --------------------------------------------------
