@@ -343,9 +343,12 @@ def _make_denoiser(kind, prior, proc, noise, truth, model_file, out_dir):
 
 def cmd_sample(config, out_dir) -> int:
     prior = build_prior(config)
+    c = config["sampler"]
+    if c["write_images"] == "true" and len(prior.mean.shape) != 2:
+        raise ConfigError(f"[sampler] write_images = true needs a 2-D image, "
+                          f"but [prior] shape = {config['prior']['shape']!r}")
     proc = build_process(config, prior)
     noise = build_noise(config)
-    c = config["sampler"]
     if c["measurement_file"]:
         # an external measurement has no known truth: no psnr, and no truth denoiser
         if c["denoiser"] == "truth":

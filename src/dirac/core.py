@@ -252,4 +252,7 @@ def read_signal(path) -> Signal:
     check_length(path, data, header, at_least=True)
     shape = struct.unpack_from(f"<{ndim}I", data, 10)
     check_length(path, data, header + 8 * math.prod(shape))
-    return Signal(np.frombuffer(data, dtype="<f8", offset=header).copy(), shape)
+    try:
+        return Signal(np.frombuffer(data, dtype="<f8", offset=header).copy(), shape)
+    except ValueError as exc:  # a shape preamble of ndim 0 or 3, or a zero size
+        raise ValueError(f"{path}: {exc}") from exc

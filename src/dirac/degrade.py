@@ -1,10 +1,11 @@
 """Time-indexed degradation operator families with forward transition maps.
 
 All processes here are affine in the signal: apply(t, x) = A(t) x + b(t).
-Each family applies the linear part A(t) to a vector through its own
-structure (matvec; every A(t) here is symmetric, so rmatvec is matvec) and
-gives its Gram matrix A(t)^T A(t) and spectral norm in closed form; the dense
-matrix view is kept as the reference for verification.
+A family's A(t) are symmetric with one orthonormal eigenbasis for every t,
+so each family states eigenvalues(t) in to_modes order: the mask over pixels
+(inpainting), 1 - t (blending), or the axes' DFT multipliers (blur). matvec,
+the Gram matrix and the spectral norm follow, pixel-diagonal by default (blur
+keeps its circulant forms); the dense matrix is only the verification reference.
 Severities compose exactly (up to rounding) through transition maps
 G_{t' -> t''}: inpainting divides masks, blur adds discrete-Gaussian
 variances and blending re-blends toward its anchor.
@@ -55,16 +56,28 @@ class DegradationProcess(ABC):
         """Forward transition G_{t_lo -> t_hi} taking A_{t_lo}(x) to A_{t_hi}(x)."""
 
     @abstractmethod
+    def eigenvalues(self, t: float) -> np.ndarray:
+        """(n,) eigenvalues of A(t), in the order of to_modes."""
+
+    def to_modes(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of an (n,) vector in the shared orthonormal eigenbasis: the pixels."""
+        return x
+
+    def from_modes(self, z: np.ndarray) -> np.ndarray:
+        """Inverse of to_modes, back to a real (n,) vector."""
+        return z
+
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Linear part A(t) applied to an (n,) vector."""
+        """Linear part A(t) applied to an (n,) vector; pixel-diagonal by default."""
+        return self.eigenvalues(t) * x
 
     def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
         """Transpose A(t)^T applied to an (n,) vector: matvec, as every family is symmetric."""
         return self.matvec(t, x)
 
-    @abstractmethod
     def gram(self, t: float) -> np.ndarray:
-        """Dense n x n Gram matrix A(t)^T A(t), in closed form."""
+        """Dense n x n Gram matrix A(t)^T A(t); pixel-diagonal by default."""
+        return np.diag(np.square(self.eigenvalues(t)))
 
     @abstractmethod
     def as_matrix(self, t: float) -> np.ndarray:
@@ -87,9 +100,9 @@ class DegradationProcess(ABC):
     def n(self) -> int:
         return math.prod(self.shape)
 
-    @abstractmethod
     def lipschitz_x(self, t: float) -> float:
-        """Spectral norm of the linear part A(t), in closed form."""
+        """Spectral norm of the linear part A(t): its largest |eigenvalue|."""
+        return float(np.max(np.abs(self.eigenvalues(t))))
 
     def _check_range(self, t: float) -> None:
         if not 0.0 <= t <= 1.0:
@@ -209,6 +222,19 @@ class GaussianBlurProcess(DegradationProcess):
         c_w = c_h if wd == h else self._axis_blur(v, wd)
         return (c_h @ x.reshape(h, wd) @ c_w).ravel()
 
+    def eigenvalues(self, t: float) -> np.ndarray:
+        """Outer product of each axis's exp(v (cos 2 pi k/N - 1)), k = 0..N-1 (fftn order)."""
+        v = _blur_variance(self.param_of(t))
+        # lag[0] = min(k, N - k) reads each k's multiplier from the k <= N/2 table
+        axes = [np.exp(v * gen)[lag[0]] for gen, _, lag in map(self._tables.get, self._shape)]
+        return functools.reduce(np.multiply.outer, axes).ravel()
+
+    def to_modes(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.fftn(x.reshape(self._shape), norm="ortho").ravel()
+
+    def from_modes(self, z: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(z.reshape(self._shape), norm="ortho").real.ravel()
+
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
         return self._blur(_blur_variance(self.param_of(t)), x)
 
@@ -231,11 +257,6 @@ class GaussianBlurProcess(DegradationProcess):
         eyes = [np.eye(n) for n in self._shape]
         generators = [(np.roll(i, 1, axis=0) + np.roll(i, -1, axis=0)) / 2.0 - i for i in eyes]
         return functools.reduce(np.kron, [expm(v * g) for g in generators])
-
-    def lipschitz_x(self, t: float) -> float:
-        """1 at every severity: the DFT multiplier is 1 at k = 0 and at most 1 elsewhere."""
-        self._check_range(t)
-        return 1.0
 
 
 def _bump_d2(shape: tuple[int, ...], center) -> np.ndarray:
@@ -312,32 +333,20 @@ class GaussianMaskInpaintProcess(DegradationProcess):
     def param_of(self, t: float) -> float:
         return self.schedule.interpolate(t)
 
-    def _mask(self, t: float) -> np.ndarray:
+    def eigenvalues(self, t: float) -> np.ndarray:
         return _mask_values(self.param_of(t), self.k, self._d2)
-
-    def mask(self, t: float) -> Signal:
-        return Signal(self._mask(t), self._shape)
 
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo > t_hi:
             raise ValueError("transition requires t_lo <= t_hi")
-        m_lo, m_hi = self._mask(t_lo), self._mask(t_hi)
+        m_lo, m_hi = self.eigenvalues(t_lo), self.eigenvalues(t_hi)
         out = np.zeros_like(y.values)
         live = m_lo > _MASK_GUARD
         out[live] = y.values[live] * m_hi[live] / m_lo[live]
         return y.with_values(out)
 
-    def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self._mask(t) * x
-
-    def gram(self, t: float) -> np.ndarray:
-        return np.diag(np.square(self._mask(t)))
-
     def as_matrix(self, t: float) -> np.ndarray:
-        return np.diag(self._mask(t))
-
-    def lipschitz_x(self, t: float) -> float:
-        return float(np.max(self._mask(t)))
+        return np.diag(self.eigenvalues(t))
 
 
 class BlendingProcess(DegradationProcess):
@@ -374,13 +383,9 @@ class BlendingProcess(DegradationProcess):
             t_hi * self.anchor.values + scale * (y.values - t_lo * self.anchor.values)
         )
 
-    def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
+    def eigenvalues(self, t: float) -> np.ndarray:
         self._check_range(t)
-        return (1.0 - t) * x
-
-    def gram(self, t: float) -> np.ndarray:
-        self._check_range(t)
-        return ((1.0 - t) * (1.0 - t)) * np.eye(self.n)
+        return np.full(self.n, 1.0 - t)
 
     def as_matrix(self, t: float) -> np.ndarray:
         self._check_range(t)
@@ -388,7 +393,3 @@ class BlendingProcess(DegradationProcess):
 
     def offset(self, t: float) -> np.ndarray:
         return t * self.anchor.values
-
-    def lipschitz_x(self, t: float) -> float:
-        self._check_range(t)
-        return 1.0 - t

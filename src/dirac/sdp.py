@@ -87,11 +87,12 @@ def marginal_score(
     """Exact score of the marginal q_t(y) for a Gaussian prior and affine A_t.
 
     y_t ~ N(A_t(mu), M Sigma M^T + sigma_t^2 I) with M the linear part, so the
-    score is -S_t^{-1} (y_t - A_t(mu)), computed by Cholesky factorization.
+    score is -S_t^{-1} (y_t - A_t(mu)), computed by Cholesky factorization; M Sigma
+    M^T is formed by matvec, Sigma M row by row and then M on its columns.
     """
-    m = proc.as_matrix(t)
+    sigma_m = np.array([proc.rmatvec(t, row) for row in prior.covariance])
     s = noise.sigma(t)
-    cov = m @ prior.covariance @ m.T + (s * s) * np.eye(prior.n)
+    cov = np.array([proc.matvec(t, col) for col in sigma_m.T]).T + (s * s) * np.eye(prior.n)
     try:
         factor = scipy.linalg.cho_factor(cov)
     except scipy.linalg.LinAlgError as exc:  # unreachable for sigma_t > 0

@@ -57,26 +57,24 @@ def check_pair_consistency(
 ) -> ConsistencyVerdict:
     """Least-squares feasibility test: does one clean signal explain both?
 
-    Solves min_x ||A_tau(x) - y_tau||^2 + ||A_tau+(x) - y_tau+||^2 as one
-    stacked least-squares problem (SVD-based, so near-zero operator entries
-    need no ridge); the verdict compares the stacked per-entry RMS residual
-    at the minimizer against the tolerance.
+    Minimizes ||A_tau(x) - y_tau||^2 + ||A_tau+(x) - y_tau+||^2 in the family's
+    eigenbasis, one unknown per mode: with eigenvalues a, b and residuals r1, r2
+    the minimum is |b r1 - a r2|^2/(a^2 + b^2) at (a r1 + b r2)/(a^2 + b^2), or
+    |r1|^2 + |r2|^2 at 0 where a = b = 0 (the minimum-norm solution). The
+    verdict compares the per-entry RMS residual against the tolerance.
     """
     if tau > tau_plus:
         raise ValueError("requires tau <= tau_plus")
-    m_lo = proc.as_matrix(tau)
-    m_hi = proc.as_matrix(tau_plus)
-    r_lo = y_tau.values - proc.offset(tau)
-    r_hi = y_tau_plus.values - proc.offset(tau_plus)
-    n = proc.n
-    try:
-        x = np.linalg.lstsq(np.vstack([m_lo, m_hi]), np.concatenate([r_lo, r_hi]), rcond=None)[0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("stacked consistency least-squares solve did not converge") from exc
-    res_lo = m_lo @ x - r_lo
-    res_hi = m_hi @ x - r_hi
-    residual = math.sqrt((res_lo @ res_lo + res_hi @ res_hi) / (2 * n))
-    witness = Signal(x, y_tau.shape)
+    a, b = proc.eigenvalues(tau), proc.eigenvalues(tau_plus)
+    r1 = proc.to_modes(y_tau.values - proc.offset(tau))
+    r2 = proc.to_modes(y_tau_plus.values - proc.offset(tau_plus))
+    norm2 = a * a + b * b
+    live = norm2 > 0.0
+    safe = np.where(live, norm2, 1.0)
+    per_mode = np.where(live, np.abs(b * r1 - a * r2) ** 2 / safe,
+                        np.abs(r1) ** 2 + np.abs(r2) ** 2)
+    residual = math.sqrt(np.sum(per_mode) / (2 * proc.n))
+    witness = Signal(proc.from_modes(np.where(live, (a * r1 + b * r2) / safe, 0.0)), y_tau.shape)
     return ConsistencyVerdict(residual <= tolerance, residual, witness)
 
 

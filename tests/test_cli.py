@@ -329,6 +329,15 @@ def test_sample_writes_images_when_asked(tmp_path):
     assert pgms[0].read_bytes().startswith(b"P5")
 
 
+def test_images_of_a_1d_signal_are_refused_before_sampling(tmp_path, capsys):
+    cfg = write_config(tmp_path, "\n[prior]\nshape = 16\n\n[sampler]\nwrite_images = true\n")
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: [sampler] write_images = true needs a 2-D image, "
+                   "but [prior] shape = '16'"]
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def _measurement_file(tmp_path):
     from dirac.core import write_signal
 
@@ -382,6 +391,25 @@ def test_non_finite_measurement_file_exits_2(tmp_path, capsys, bad):
     assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {meas}"), err
+
+
+@pytest.mark.parametrize("dims", [(), (2, 2, 1), (0,)], ids=["ndim0", "ndim3", "zero-size"])
+def test_measurement_file_with_bad_shape_names_the_file(tmp_path, capsys, dims):
+    import struct
+
+    from dirac.core import Signal, write_signal
+
+    meas = tmp_path / "meas.bin"
+    write_signal(Signal(np.zeros(4), (2, 2)), meas)
+    magic_and_version = meas.read_bytes()[:9]
+    meas.write_bytes(magic_and_version + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+                     + bytes(8 * int(np.prod(dims))))
+    cfg = write_config(tmp_path, "\n[prior]\nshape = 2x2\n"
+                                 f"\n[sampler]\nmeasurement_file = {meas}\n")
+    assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {meas}: shape must be"), err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def _every_cut_exits_2(tmp_path, capsys, data, extra):

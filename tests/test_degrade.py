@@ -181,7 +181,7 @@ def test_inpaint_mask_matches_direct_formula():
 
 def test_inpaint_mask_finite_for_off_grid_centre():
     # the bump underflows at every pixel at small widths; no 0/0
-    m = GaussianMaskInpaintProcess((6, 6), center=(2.5, 3.2)).mask(1 / 256).values
+    m = GaussianMaskInpaintProcess((6, 6), center=(2.5, 3.2)).eigenvalues(1 / 256)
     assert np.all(np.isfinite(m))
     assert np.all((m >= 0.0) & (m <= 1.0))
     assert np.all(np.isfinite(inpaint_mask(1e-3, 4, (6, 6), (2.5, 3.2)).values))
@@ -209,7 +209,7 @@ def test_inpaint_matrix_is_diagonal_mask():
     proc = GaussianMaskInpaintProcess(SHAPE)
     m = proc.as_matrix(0.7)
     np.testing.assert_array_equal(np.diag(np.diag(m)), m)
-    np.testing.assert_array_equal(np.diag(m), proc.mask(0.7).values)
+    np.testing.assert_array_equal(np.diag(m), proc.eigenvalues(0.7))
 
 
 def test_inpaint_requires_identity_start():
@@ -223,7 +223,7 @@ def test_inpaint_process_mask_bit_identical_to_inpaint_mask(shape, center):
     proc = GaussianMaskInpaintProcess(shape, center=center)
     for t in np.linspace(0.0, 1.0, 257):
         expected = inpaint_mask(proc.param_of(t), proc.k, shape, center).values
-        np.testing.assert_array_equal(proc.mask(t).values, expected)
+        np.testing.assert_array_equal(proc.eigenvalues(t), expected)
         np.testing.assert_array_equal(np.diag(proc.as_matrix(t)), expected)
 
 
@@ -257,7 +257,7 @@ def test_blur_memory_does_not_grow_with_severities():
 def test_inpaint_lipschitz_is_max_mask():
     proc = GaussianMaskInpaintProcess(SHAPE)
     for t in (0.0, 0.5, 1.0):
-        assert proc.lipschitz_x(t) == pytest.approx(np.max(proc.mask(t).values))
+        assert proc.lipschitz_x(t) == pytest.approx(np.max(proc.eigenvalues(t)))
         assert proc.lipschitz_x(t) <= 1.0
 
 
@@ -337,7 +337,7 @@ def test_diagonal_gram_equals_identity_probe(t):
     # M^T M pushed through an identity column by column, as rmatvec(t, matvec(t, I))
     # once formed it, gives the same bits as the closed form of either diagonal family
     inpaint = GaussianMaskInpaintProcess((5, 7))
-    m = inpaint.mask(t).values[:, None]
+    m = inpaint.eigenvalues(t)[:, None]
     assert (inpaint.gram(t) == m * (m * np.eye(35))).all()
     blend = BlendingProcess(_rand_signal(7, (5, 7)))
     assert (blend.gram(t) == (1.0 - t) * ((1.0 - t) * np.eye(35))).all()

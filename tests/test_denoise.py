@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dirac import cli
 from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import (
@@ -470,8 +471,9 @@ def test_model_rejects_bad_magic(tmp_path):
         load_model(path)
 
 
-def test_hot_paths_never_build_dense_matrix(monkeypatch):
-    # a guided blur trajectory and affine training must run on matvec/rmatvec and gram alone
+def test_hot_paths_never_build_dense_matrix(monkeypatch, tmp_path):
+    # a guided blur trajectory, affine training and every verify suite must run on
+    # matvec/rmatvec, gram and the eigenvalues alone
     def refuse(self, t):
         raise AssertionError("dense as_matrix called in a hot path")
 
@@ -489,3 +491,7 @@ def test_hot_paths_never_build_dense_matrix(monkeypatch):
     report = train_affine(model, proc, noise, prior, loss_kind="incremental", delta_t=0.1,
                           steps=3, step_size=1e-6, batch_size=4)
     assert report.steps_run == 3 and not report.diverged
+    cfg = tmp_path / "verify.ini"
+    cfg.write_text(f"[prior]\nshape = 6x6\n\n[output]\ndir = {tmp_path / 'out'}\n")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_OK
+    assert len((tmp_path / "out" / "verify_report.csv").read_text().splitlines()) == 8

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,54 @@ def test_pair_consistency_blur(setup):
     proc = GaussianBlurProcess(SHAPE)
     v = check_pair_consistency(proc, 0.2, 0.9, proc.apply(0.2, x0), proc.apply(0.9, x0))
     assert v.consistent
+
+
+def _stacked_lstsq(proc, tau, tau_plus, y_lo, y_hi):
+    """Reference: one lstsq on the stacked dense operators, and its per-entry RMS residual."""
+    m_lo, m_hi = proc.as_matrix(tau), proc.as_matrix(tau_plus)
+    stacked = np.vstack([m_lo, m_hi])
+    r = np.concatenate([y_lo.values - proc.offset(tau), y_hi.values - proc.offset(tau_plus)])
+    x = np.linalg.lstsq(stacked, r, rcond=None)[0]
+    res = stacked @ x - r
+    return m_lo, m_hi, x, math.sqrt(res @ res / (2 * proc.n))
+
+
+# (tau, tau_plus, RMS of the bump added to y_tau_plus)
+_PAIRS = {
+    "consistent": (0.3, 0.8, 0.0),
+    "ill-conditioned": (0.86, 0.89, 0.0),  # blur's smallest mode is ~1e-12 here
+    "perturbed": (0.3, 1.0, 0.1),
+    "saturated": (1.0, 1.0, 0.1),  # blending: a = b = 0 in every mode
+}
+# At tau = tau_plus = 1 blur's smallest modes (~1e-16) are below lstsq's own rounding.
+_CASES = [(f, p) for f in ("blur", "inpaint", "blending") for p in _PAIRS
+          if p != "saturated" or f == "blending"]
+
+
+@pytest.mark.parametrize("family,pair", _CASES)
+@pytest.mark.parametrize("shape", [(6, 6), (5, 9), (12,)], ids=str)
+def test_pair_consistency_matches_stacked_lstsq(shape, family, pair):
+    tau, tau_plus, bump = _PAIRS[pair]
+    prior = squared_exponential_prior(shape)
+    x0 = prior_sample(prior, RandomSource(21))
+    proc = {"blur": GaussianBlurProcess(shape), "inpaint": GaussianMaskInpaintProcess(shape),
+            "blending": BlendingProcess(prior_sample(prior, RandomSource(22)))}[family]
+    y_lo = proc.apply(tau, x0)
+    y_hi = proc.apply(tau_plus, x0)
+    y_hi = y_hi.with_values(y_hi.values + bump * RandomSource(23).normal(proc.n))
+    v = check_pair_consistency(proc, tau, tau_plus, y_lo, y_hi)
+    m_lo, m_hi, x, residual = _stacked_lstsq(proc, tau, tau_plus, y_lo, y_hi)
+    assert abs(v.residual - residual) <= 1e-12
+    assert v.consistent == (bump == 0.0)
+    # The fitted measurements agree at any conditioning. The raw witness is compared
+    # only where the smallest nonzero per-mode singular value sqrt(a^2 + b^2) exceeds
+    # 1e-6: either solution's rounding there is about eps times the condition number.
+    np.testing.assert_allclose(m_lo @ v.witness.values, m_lo @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m_hi @ v.witness.values, m_hi @ x, rtol=0, atol=1e-12)
+    s = np.hypot(proc.eigenvalues(tau), proc.eigenvalues(tau_plus))
+    s_min = s[s > 0].min(initial=1.0)
+    if s_min > 1e-6:
+        np.testing.assert_allclose(v.witness.values, x, rtol=0, atol=1e-13 / s_min)
 
 
 def test_theorem_dc_ground_truth_passes(setup):
