@@ -405,7 +405,7 @@ def _processes_for_verify(config, prior):
     }
 
 
-def _suite_tweedie(config, prior, noise, procs):
+def _suite_tweedie(config, prior, noise, procs, blur_oracle):
     rng = RandomSource(100)
     worst = 0.0
     # Stream ids are fixed per process; a hash of the name would vary with
@@ -426,7 +426,7 @@ def _suite_tweedie(config, prior, noise, procs):
     return worst <= 1e-8, f"max relative error {worst:.3g}"
 
 
-def _suite_thm36(config, prior, noise, procs, denoiser_factory=None):
+def _suite_thm36(config, prior, noise, procs, blur_oracle, denoiser_factory=None):
     x0 = prior_sample(prior, RandomSource(7))
     report = verify_theorem_dc(
         procs["inpaint"], noise, x0, config["verify"]["delta_t"], config["verify"]["seeds"],
@@ -438,7 +438,7 @@ def _suite_thm36(config, prior, noise, procs, denoiser_factory=None):
     return report.passed, detail
 
 
-def _suite_thm34(config, prior, noise, procs):
+def _suite_thm34(config, prior, noise, procs, blur_oracle):
     trials = config["verify"]["trials"]
     total_viol = 0
     for proc in procs.values():
@@ -447,7 +447,7 @@ def _suite_thm34(config, prior, noise, procs):
     return total_viol == 0, f"{total_viol} bound violations"
 
 
-def _suite_transitivity(config, prior, noise, procs):
+def _suite_transitivity(config, prior, noise, procs, blur_oracle):
     proc = procs["inpaint"]
     rng = RandomSource(11)
     worst = 0.0
@@ -465,11 +465,9 @@ def _suite_transitivity(config, prior, noise, procs):
     return worst <= 1e-12, f"max transitivity defect {worst:.3g}"
 
 
-def _suite_pd_curve(config, prior, noise, procs):
-    proc = procs["blur"]
-    den = OracleDenoiser(prior, proc, noise)
+def _suite_pd_curve(config, prior, noise, procs, blur_oracle):
     report = perception_distortion_sweep(
-        den, proc, noise, prior, SamplerConfig(delta_t=0.05),
+        blur_oracle, procs["blur"], noise, prior, SamplerConfig(delta_t=0.05),
         runs=config["verify"]["pd_runs"],
     )
     ok = report.interior_peak and report.nll_improves_past_peak
@@ -484,20 +482,19 @@ def _perturbed_blur(proc):
         proc.shape, schedule=SeveritySchedule(tuple((t, w * mult) for t, w in knots)))
 
 
-def _suite_robustness(config, prior, noise, procs):
+def _suite_robustness(config, prior, noise, procs, blur_oracle):
     proc = procs["blur"]
-    den = OracleDenoiser(prior, proc, noise)
     cfg = SamplerConfig(delta_t=0.05)
-    op = robustness_sweep(den, proc, noise, prior, cfg, kind="operator",
+    op = robustness_sweep(blur_oracle, proc, noise, prior, cfg, kind="operator",
                           perturbed_process_factory=_perturbed_blur(proc))
-    nz = robustness_sweep(den, proc, noise, prior, cfg, kind="noise", grid=_NOISE_GRID)
+    nz = robustness_sweep(blur_oracle, proc, noise, prior, cfg, kind="noise", grid=_NOISE_GRID)
     values = op.psnr + op.nll + nz.psnr + nz.nll
     ok = all(np.isfinite(v) for v in values)
     return ok, (f"operator psnr {min(op.psnr):.4g}..{max(op.psnr):.4g}, "
                 f"noise psnr {min(nz.psnr):.4g}..{max(nz.psnr):.4g}")
 
 
-def _suite_scheduler(config, prior, noise, procs):
+def _suite_scheduler(config, prior, noise, procs, blur_oracle):
     proc = procs["blur"]
     dataset = _prior_dataset(prior, 4, 3)
     table = build_distance_table(proc, dataset, n_candidates=21)
@@ -523,12 +520,19 @@ SUITES = {
 
 
 def cmd_verify(config, out_dir) -> int:
-    """Run the requested suites in order and write verify_report.csv."""
+    """Run the requested suites in order and write verify_report.csv.
+
+    Each suite is called as suite(config, prior, noise, procs, blur_oracle). pd-curve and
+    robustness share the one blur oracle: both step through the same Δt = 0.05 severities,
+    so robustness finds every H_t^{-1} cached. The oracle lives only for this call.
+    """
     requested = _suite_names(config["verify"]["suites"]) or list(SUITES)
     prior = build_prior(config)
     noise = build_noise(config)
     procs = _processes_for_verify(config, prior)
-    results = [(name, *SUITES[name](config, prior, noise, procs)) for name in requested]
+    blur_oracle = OracleDenoiser(prior, procs["blur"], noise)
+    results = [(name, *SUITES[name](config, prior, noise, procs, blur_oracle))
+               for name in requested]
     rows = [(name, "PASS" if passed else "FAIL", detail) for name, passed, detail in results]
     for name, verdict, detail in rows:
         print(f"{verdict} {name}: {detail}")

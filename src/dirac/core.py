@@ -7,7 +7,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 __all__ = [
@@ -72,7 +71,14 @@ class Signal:
 class GaussianPrior:
     """Gaussian data model N(mean, covariance) over signals.
 
+    The covariance must be finite, symmetric within 1e-12 and have every
+    eigenvalue at least 1e-9. The floor is tested by inertia, not by an
+    eigendecomposition: Sigma - 1e-9 I must factor by Cholesky (LAPACK dpotrf,
+    in place). Both checks share one n x n scratch array, freed before the
+    stored factor is taken.
+
     ``cholesky_factor``, ``log_det`` and ``entry_bound`` are computed, not passed.
+    ``cholesky_factor`` is numpy's Cholesky of the lower triangle.
     ``entry_bound`` is the radius B such that samples are treated as
     entrywise bounded for error-bound audits; samples exceeding it are
     rejected by those audits rather than clipped.
@@ -89,10 +95,18 @@ class GaussianPrior:
         n = self.mean.n
         if cov.shape != (n, n):
             raise ValueError(f"covariance must be {n}x{n}, got {cov.shape}")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("covariance is not symmetric within 1e-12")
-        if np.min(scipy.linalg.eigvalsh(cov)) < 1e-9:
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails the test below
+            scratch = np.subtract(cov, cov.T)
+        if not np.max(np.abs(scratch, out=scratch)) <= 1e-12:
+            raise ValueError("covariance is not finite and symmetric within 1e-12")
+        # Sylvester's law of inertia: every eigenvalue is above 1e-9 exactly when
+        # Sigma - 1e-9 I is positive definite. The transposed view is in Fortran order,
+        # so dpotrf factors it in place; its upper triangle is cov's lower one.
+        np.copyto(scratch, cov)
+        scratch.flat[:: n + 1] -= 1e-9
+        if lapack.dpotrf(scratch.T, lower=0, overwrite_a=1, clean=0)[1]:
             raise ValueError("covariance eigenvalues must be >= 1e-9")
+        del scratch
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
         chol = np.linalg.cholesky(cov)
@@ -143,19 +157,23 @@ def squared_exponential_prior(
     """Default desk-scale prior: squared-exponential covariance over pixels.
 
     Sigma_ij = exp(-d(i,j)^2 / (2 l^2)) + jitter * I, with d the Euclidean
-    pixel distance; mean is constant.
+    pixel distance; mean is constant. On a grid d^2 is the sum of the squared
+    per-axis offsets, so exp is taken once per combination of axis offsets
+    (h * w values) and each pixel pair gathers its entry by its offsets
+    (Saatci 2011): no pairwise difference array, and the same bits as
+    evaluating every pair.
     """
     shape = tuple(int(s) for s in shape)
-    if len(shape) == 1:
-        coords = np.arange(shape[0], dtype=np.float64)[:, None]
-    else:
-        h, w = shape
-        ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        coords = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.float64)
-    d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=-1)
-    cov = np.exp(-d2 / (2.0 * length_scale**2))
-    cov += jitter * np.eye(cov.shape[0])
     n = math.prod(shape)
+    squares = np.ix_(*(np.arange(s, dtype=np.float64) ** 2 for s in shape))
+    table = np.exp(-sum(squares) / (2.0 * length_scale**2))
+    offsets = [abs(np.arange(s)[:, None] - np.arange(s)) for s in shape]  # |i_k - j_k|
+    if len(shape) == 1:
+        cov = table[offsets[0]]
+    else:  # entry (i, j, i', j') of the (h, w, h, w) array reads table[|i - i'|, |j - j'|]
+        off_h, off_w = offsets
+        cov = table[off_h[:, None, :, None], off_w[None, :, None, :]].reshape(n, n)
+    cov.flat[:: n + 1] += jitter
     mean = Signal(np.full(n, mean_value), shape)
     return GaussianPrior(mean=mean, covariance=cov)
 

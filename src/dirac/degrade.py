@@ -68,11 +68,15 @@ class DegradationProcess(ABC):
         return z
 
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Linear part A(t) applied to an (n,) vector; pixel-diagonal by default."""
+        """Linear part A(t) applied along the last axis of an (..., n) array, each row alone.
+
+        Leading axes broadcast, and each row gets the bits of its own (n,) call.
+        Pixel-diagonal by default.
+        """
         return self.eigenvalues(t) * x
 
     def rmatvec(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Transpose A(t)^T applied to an (n,) vector: matvec, as every family is symmetric."""
+        """Transpose A(t)^T along the last axis: matvec, as every family is symmetric."""
         return self.matvec(t, x)
 
     def gram(self, t: float) -> np.ndarray:
@@ -214,13 +218,16 @@ class GaussianBlurProcess(DegradationProcess):
         return (inverse @ np.exp(v * generator))[lag]
 
     def _blur(self, v: float, x: np.ndarray) -> np.ndarray:
-        """C_h X C_w at variance v on a flat image."""
+        """C_h X C_w at variance v on each flat image along x's last axis.
+
+        A stacked matmul makes one BLAS call per image, the call a single image makes.
+        """
         c_h = self._axis_blur(v, self._shape[0])
         if len(self._shape) == 1:
-            return c_h @ x
+            return (c_h @ x[..., None])[..., 0]
         h, wd = self._shape
         c_w = c_h if wd == h else self._axis_blur(v, wd)
-        return (c_h @ x.reshape(h, wd) @ c_w).ravel()
+        return (c_h @ x.reshape(-1, h, wd) @ c_w).reshape(x.shape)
 
     def eigenvalues(self, t: float) -> np.ndarray:
         """Outer product of each axis's exp(v (cos 2 pi k/N - 1)), k = 0..N-1 (fftn order)."""

@@ -62,7 +62,9 @@ class OracleDenoiser(Denoiser):
     estimate(y, t) = mu + H_t^{-1} M^T (y - A_t(mu)), H_t = sigma_t^2 Sigma^{-1} + M^T M: the
     information form of the gain Sigma M^T (M Sigma M^T + sigma_t^2 I)^{-1} (Bishop, PRML
     2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1}
-    is formed on the first cold severity and M^T M from the process's `gram`. Each severity
+    is formed on the first cold severity, beside one n x n buffer into which each cold
+    severity writes sigma_t^2 Sigma^{-1} (8 MiB at 32x32, allocated once rather than per
+    severity), and M^T M comes from the process's `gram`. Each severity
     caches the lower triangle of H_t^{-1}, up to _INVERSE_CACHE_BYTES (160 MiB) in all: a
     trajectory visits each severity once, so only sweeps reuse entries. A new severity that
     would overflow the cap evicts the most recently added entry and is itself kept, so
@@ -83,6 +85,7 @@ class OracleDenoiser(Denoiser):
         self.proc = proc
         self.noise = noise
         self._precision: np.ndarray | None = None
+        self._scaled: np.ndarray | None = None  # sigma_t^2 Sigma^{-1}, rewritten per severity
         self._inverse_cache: dict[float, np.ndarray] = {}
 
     def _solve(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -94,10 +97,11 @@ class OracleDenoiser(Denoiser):
                 cache.popitem()  # the newest entry
             if self._precision is None:
                 self._precision = lapack.dpotri(self.prior.cholesky_factor, lower=1)[0]
+                self._scaled = np.empty_like(self._precision)
             s = self.noise.sigma(t)
             # M^T M is symmetric; its transpose is in Fortran order, which LAPACK works in
             h = self.proc.gram(t).T
-            h += s * s * self._precision
+            h += np.multiply(s * s, self._precision, out=self._scaled)
             anorm = lapack.dlange("1", h) if s == 0.0 else 0.0
             chol, info = lapack.dpotrf(h, lower=1, overwrite_a=1)
             # without noise nothing regularizes M^T M: also refuse it when singular to working

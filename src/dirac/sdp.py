@@ -88,11 +88,13 @@ def marginal_score(
 
     y_t ~ N(A_t(mu), M Sigma M^T + sigma_t^2 I) with M the linear part, so the
     score is -S_t^{-1} (y_t - A_t(mu)), computed by Cholesky factorization; M Sigma
-    M^T is formed by matvec, Sigma M row by row and then M on its columns.
+    M^T is formed in two operator calls, rmatvec on Sigma's rows (Sigma M) and
+    matvec on the columns of that.
     """
-    sigma_m = np.array([proc.rmatvec(t, row) for row in prior.covariance])
+    sigma_m = proc.rmatvec(t, prior.covariance)
     s = noise.sigma(t)
-    cov = np.array([proc.matvec(t, col) for col in sigma_m.T]).T + (s * s) * np.eye(prior.n)
+    cov = proc.matvec(t, sigma_m.T).T
+    cov.flat[:: prior.n + 1] += s * s
     try:
         factor = scipy.linalg.cho_factor(cov)
     except scipy.linalg.LinAlgError as exc:  # unreachable for sigma_t > 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dirac import cli
+from dirac.degrade import GaussianBlurProcess
 from dirac.denoise import GroundTruthDenoiser
 
 BASE = """
@@ -547,6 +548,22 @@ def test_verify_runs_every_suite_on_the_main_thread(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     assert run(["verify", "--config", cfg, "--jobs", "3"]) == cli.EXIT_OK
     assert threads == [(name, threading.main_thread()) for name in cli.SUITES]
+
+
+def test_verify_pd_curve_and_robustness_share_one_blur_oracle(tmp_path, monkeypatch):
+    # robustness steps through pd-curve's severities with the same oracle, so it
+    # factors none of its own: the oracle takes M^T M from gram once per cold severity
+    grams = []
+    real = GaussianBlurProcess.gram
+    monkeypatch.setattr(GaussianBlurProcess, "gram",
+                        lambda self, t: grams.append(t) or real(self, t))
+    pd_only = write_config(tmp_path, "\n[verify]\nsuites = pd-curve\npd_runs = 2\n")
+    assert run(["verify", "--config", pd_only]) == cli.EXIT_OK
+    alone = list(grams)
+    grams.clear()
+    both = write_config(tmp_path, "\n[verify]\nsuites = pd-curve, robustness\npd_runs = 2\n")
+    assert run(["verify", "--config", both]) == cli.EXIT_OK
+    assert len(alone) == 20 and grams == alone
 
 
 def test_verify_thm36_negative_control(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,72 @@ def test_squared_exponential_prior_structure():
     np.testing.assert_allclose(np.diag(prior.covariance), 1.0 + 1e-4)
     expected = math.exp(-1.0 / (2.0 * 4.0))
     np.testing.assert_allclose(prior.covariance[0, 1], expected, rtol=1e-12)
+
+
+def _pairwise_se_covariance(shape, length_scale, jitter):
+    """The definition entry by entry: each pixel pair's squared distance, then exp."""
+    coords = np.indices(shape).reshape(len(shape), -1).T.astype(np.float64)
+    d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=-1)
+    return np.exp(-d2 / (2.0 * length_scale**2)) + jitter * np.eye(len(coords))
+
+
+@pytest.mark.parametrize("shape,length_scale,jitter", [
+    ((7,), 2.0, 1e-4), ((1, 3), 2.0, 1e-4), ((2, 1), 2.0, 1e-4), ((5, 9), 2.0, 1e-4),
+    ((9, 5), 2.0, 1e-4), ((16, 16), 2.0, 1e-4), ((32, 32), 2.0, 1e-4), ((5, 9), 0.7, 1e-3),
+], ids=["7", "1x3", "2x1", "5x9", "9x5", "16x16", "32x32", "5x9-l0.7"])
+def test_squared_exponential_covariance_equals_pairwise_definition(shape, length_scale, jitter):
+    # gathering exp per axis-offset combination gives every pair's bits, and the
+    # stored factor stays numpy's Cholesky of them
+    prior = squared_exponential_prior(shape, length_scale=length_scale, jitter=jitter)
+    expected = _pairwise_se_covariance(shape, length_scale, jitter)
+    assert np.array_equal(prior.covariance, expected)
+    assert np.array_equal(prior.cholesky_factor, np.linalg.cholesky(expected))
+
+
+@pytest.mark.parametrize("jitter,loads", [(1e-8, True), (2e-9, True), (1e-9, False),
+                                          (5e-10, False)])
+def test_eigenvalue_floor_keeps_its_verdicts_at_the_boundary(jitter, loads):
+    # at length scale 50 the 8x8 kernel is singular to working precision, so the
+    # jitter alone sets the smallest eigenvalues; the inertia test agrees with eigvalsh
+    cov = _pairwise_se_covariance((8, 8), 50.0, jitter)
+    assert (np.min(scipy.linalg.eigvalsh(cov)) >= 1e-9) == loads
+    if loads:
+        squared_exponential_prior((8, 8), length_scale=50.0, jitter=jitter)
+    else:
+        with pytest.raises(ValueError, match="eigenvalues must be >= 1e-9"):
+            squared_exponential_prior((8, 8), length_scale=50.0, jitter=jitter)
+
+
+def test_prior_build_needs_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert squared_exponential_prior((6, 6)).n == 36
+    with pytest.raises(ValueError, match="eigenvalues"):
+        GaussianPrior(Signal.from_array(np.zeros(3)), np.diag([1.0, -0.1, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_prior_rejects_non_finite_covariance(bad):
+    cov = np.eye(3)
+    cov[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GaussianPrior(Signal.from_array(np.zeros(3)), cov)
+
+
+def test_prior_build_holds_at_most_one_scratch_array():
+    # numpy's own buffers at 32x32: the covariance, its factor and one n x n scratch
+    # array at most (numpy's Cholesky workspace is not traced)
+    n_by_n = 8 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        squared_exponential_prior((32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n_by_n + 2**20
 
 
 def test_entry_bound_formula():

@@ -332,6 +332,26 @@ def test_matvec_rmatvec_match_dense_matrix(shape, family, t):
     np.testing.assert_allclose(proc.gram(t), m.T @ m, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
+@pytest.mark.parametrize("family", range(3))
+def test_rowwise_operator_calls_equal_per_row_calls(shape, family):
+    # matvec and rmatvec act on the last axis and broadcast the leading ones, each
+    # row with the bits of its own call; apply (one flat image) is the same linear
+    # part plus the offset
+    proc = _families(shape)[family]
+    rows = RandomSource(13).normal((2, 3, proc.n))
+    square = RandomSource(14).normal((proc.n, proc.n))
+    for t in (0.0, 0.37, 1.0):
+        for op in (proc.matvec, proc.rmatvec):
+            batched = op(t, rows)
+            assert batched.shape == rows.shape
+            assert np.array_equal(batched, [[op(t, r) for r in block] for block in rows])
+            # the columns of a C-ordered matrix, as marginal_score passes them
+            assert np.array_equal(op(t, square.T), [op(t, c) for c in square.T])
+        for r, m in zip(rows.reshape(-1, proc.n), proc.matvec(t, rows).reshape(-1, proc.n)):
+            assert np.array_equal(proc.apply(t, Signal(r, shape)).values, m + proc.offset(t))
+
+
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
 def test_diagonal_gram_equals_identity_probe(t):
     # M^T M pushed through an identity column by column, as rmatvec(t, matvec(t, I))

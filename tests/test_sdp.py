@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from dirac.core import RandomSource, prior_sample, squared_exponential_prior
-from dirac.degrade import GaussianMaskInpaintProcess
+from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.sdp import NoiseSchedule, conditional_score, marginal_score, sdp_sample
 
 SHAPE = (6, 6)
@@ -130,3 +131,27 @@ def test_marginal_score_zero_at_mean(setup):
     y = proc.apply(t, prior.mean)
     got = marginal_score(prior, proc, noise, y, t).values
     np.testing.assert_allclose(got, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
+@pytest.mark.parametrize("family", ["blur", "inpaint", "blending"])
+def test_marginal_score_forms_its_covariance_in_two_operator_calls(shape, family, monkeypatch):
+    prior = squared_exponential_prior(shape)
+    proc = {"blur": lambda: GaussianBlurProcess(shape),
+            "inpaint": lambda: GaussianMaskInpaintProcess(shape),
+            "blending": lambda: BlendingProcess(prior_sample(prior, RandomSource(4)))}[family]()
+    noise = NoiseSchedule()
+    t = 0.55
+    y = sdp_sample(proc, noise, prior_sample(prior, RandomSource(5)), t, RandomSource(6))
+    # M Sigma M^T pushed through one row and one column at a time, with the same
+    # Cholesky: the batched calls give the same bits
+    sigma_m = np.array([proc.rmatvec(t, row) for row in prior.covariance])
+    cov = np.array([proc.matvec(t, col) for col in sigma_m.T]).T
+    cov += noise.sigma(t) ** 2 * np.eye(prior.n)
+    resid = y.values - proc.apply(t, prior.mean).values
+    expected = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(cov), resid)
+    calls = []
+    real = type(proc).matvec
+    monkeypatch.setattr(type(proc), "matvec", lambda self, *a: calls.append(1) or real(self, *a))
+    assert np.array_equal(marginal_score(prior, proc, noise, y, t).values, expected)
+    assert len(calls) <= 3  # rmatvec on Sigma, matvec on its columns, and A_t(mu)
