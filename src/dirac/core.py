@@ -26,6 +26,7 @@ __all__ = [
 
 _SIGNAL_MAGIC = b"DIRACSIG"
 _SIGNAL_VERSION = 1
+_SYMMETRY_TILE = 64  # side of the blocks GaussianPrior's symmetry check reads
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,14 @@ class GaussianPrior:
         n = self.mean.n
         if cov.shape != (n, n):
             raise ValueError(f"covariance must be {n}x{n}, got {cov.shape}")
+        # cov - cov^T tile by tile, so that the transposed read stays within a few pages
+        scratch = np.empty((n, n))
         with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails the test below
-            scratch = np.subtract(cov, cov.T)
+            for i in range(0, n, _SYMMETRY_TILE):
+                rows = slice(i, i + _SYMMETRY_TILE)
+                for j in range(0, n, _SYMMETRY_TILE):
+                    cols = slice(j, j + _SYMMETRY_TILE)
+                    np.subtract(cov[rows, cols], cov[cols, rows].T, out=scratch[rows, cols])
         if not np.max(np.abs(scratch, out=scratch)) <= 1e-12:
             raise ValueError("covariance is not finite and symmetric within 1e-12")
         # Sylvester's law of inertia: every eigenvalue is above 1e-9 exactly when

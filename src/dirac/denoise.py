@@ -38,8 +38,9 @@ __all__ = [
 _MODEL_MAGIC = b"DIRACMDL"
 _MODEL_VERSION = 1
 _EPS = np.finfo(float).eps
-# Bytes of H_t^{-1} the oracle keeps: the 20 severities of a Δt = 0.05 schedule at 32×32.
-_INVERSE_CACHE_BYTES = 160 * 2**20
+# Bytes of packed H_t^{-1} the oracle keeps: the 20 severities of a Δt = 0.05 schedule at
+# 32×32 (80.1 MiB; 21 would need 84.1 MiB), or one 64×64 entry (64 MiB) alone.
+_INVERSE_CACHE_BYTES = 84 * 2**20
 
 
 class Denoiser(ABC):
@@ -62,10 +63,12 @@ class OracleDenoiser(Denoiser):
     estimate(y, t) = mu + H_t^{-1} M^T (y - A_t(mu)), H_t = sigma_t^2 Sigma^{-1} + M^T M: the
     information form of the gain Sigma M^T (M Sigma M^T + sigma_t^2 I)^{-1} (Bishop, PRML
     2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1}
-    is formed on the first cold severity, beside one n x n buffer into which each cold
-    severity writes sigma_t^2 Sigma^{-1} (8 MiB at 32x32, allocated once rather than per
-    severity), and M^T M comes from the process's `gram`. Each severity
-    caches the lower triangle of H_t^{-1}, up to _INVERSE_CACHE_BYTES (160 MiB) in all: a
+    is formed on the first cold severity, beside one n x n Fortran-order work buffer (8 MiB
+    at 32x32, allocated once rather than per severity) in which each cold severity forms
+    sigma_t^2 Sigma^{-1} + M^T M (M^T M from the process's `gram`) and factors and inverts
+    it in place. Each severity caches only the lower triangle of H_t^{-1}, packed column by
+    column in n(n + 1)/2 doubles (LAPACK's packed storage, applied by `dspmv`: 4 MiB at
+    32x32), up to _INVERSE_CACHE_BYTES (84 MiB) in all: a
     trajectory visits each severity once, so only sweeps reuse entries. A new severity that
     would overflow the cap evicts the most recently added entry and is itself kept, so
     estimate and vjp at one t share a factorization. Under a sweep's cyclic traffic this
@@ -85,31 +88,32 @@ class OracleDenoiser(Denoiser):
         self.proc = proc
         self.noise = noise
         self._precision: np.ndarray | None = None
-        self._scaled: np.ndarray | None = None  # sigma_t^2 Sigma^{-1}, rewritten per severity
+        self._work: np.ndarray | None = None  # H_t, then its factor and inverse, per severity
         self._inverse_cache: dict[float, np.ndarray] = {}
 
     def _solve(self, t: float, x: np.ndarray) -> np.ndarray:
         """H_t^{-1} x, factoring H_t on the first call at t."""
+        n = self.prior.n
         cache = self._inverse_cache
         if t not in cache:
-            entry = 8 * self.prior.n ** 2  # bytes of one n x n H_t^{-1}
+            entry = 4 * n * (n + 1)  # bytes of one packed H_t^{-1}
             while cache and (len(cache) + 1) * entry > _INVERSE_CACHE_BYTES:
                 cache.popitem()  # the newest entry
             if self._precision is None:
                 self._precision = lapack.dpotri(self.prior.cholesky_factor, lower=1)[0]
-                self._scaled = np.empty_like(self._precision)
+                self._work = np.empty((n, n), order="F")  # LAPACK works in place in this order
             s = self.noise.sigma(t)
-            # M^T M is symmetric; its transpose is in Fortran order, which LAPACK works in
-            h = self.proc.gram(t).T
-            h += np.multiply(s * s, self._precision, out=self._scaled)
+            h = np.multiply(s * s, self._precision, out=self._work)
+            h += self.proc.gram(t).T  # M^T M is symmetric, so its Fortran-order transpose is it
             anorm = lapack.dlange("1", h) if s == 0.0 else 0.0
             chol, info = lapack.dpotrf(h, lower=1, overwrite_a=1)
             # without noise nothing regularizes M^T M: also refuse it when singular to working
             # precision (reciprocal condition number below machine epsilon), as xGESVX does
             if info or (s == 0.0 and lapack.dpocon(chol, anorm, uplo="L")[0] < _EPS):
                 raise ValueError(f"posterior not positive definite at t={t:.6g}, sigma_t={s:.6g}")
-            cache[t] = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
-        return blas.dsymv(1.0, cache[t], x, lower=1)
+            inverse = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
+            cache[t] = lapack.dtrttp(inverse, uplo="L")[0]
+        return blas.dspmv(n, 1.0, cache[t], x, lower=1)
 
     def estimate(self, y: Signal, t: float) -> Signal:
         resid = y.values - self.proc.apply(t, self.prior.mean).values

@@ -89,14 +89,16 @@ def marginal_score(
     y_t ~ N(A_t(mu), M Sigma M^T + sigma_t^2 I) with M the linear part, so the
     score is -S_t^{-1} (y_t - A_t(mu)), computed by Cholesky factorization; M Sigma
     M^T is formed in two operator calls, rmatvec on Sigma's rows (Sigma M) and
-    matvec on the columns of that.
+    matvec on the columns of that. The factorization overwrites S_t where it comes out
+    in Fortran order (blur); scipy copies a C-order one (the pixel-diagonal families).
     """
     sigma_m = proc.rmatvec(t, prior.covariance)
     s = noise.sigma(t)
     cov = proc.matvec(t, sigma_m.T).T
+    del sigma_m  # freed before the factorization
     cov.flat[:: prior.n + 1] += s * s
     try:
-        factor = scipy.linalg.cho_factor(cov)
+        factor = scipy.linalg.cho_factor(cov, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # unreachable for sigma_t > 0
         raise ValueError("marginal covariance not positive definite") from exc
     resid = y_t.values - proc.apply(t, prior.mean).values

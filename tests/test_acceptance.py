@@ -249,6 +249,7 @@ def test_criterion_07_scheduler_optimality():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_training_correctness():
     shape = (8, 8)
     prior = squared_exponential_prior(shape)

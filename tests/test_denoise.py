@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import blas, lapack
 
 from dirac import cli
 from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import (
+    _INVERSE_CACHE_BYTES,
     AffineDenoiser,
     GroundTruthDenoiser,
     OracleDenoiser,
@@ -196,8 +198,66 @@ def test_vjp_linearity(setup):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def _full_storage_inverse(prior, proc, noise, t):
+    """H_t^{-1} by dpotrf and dpotri in full storage, lower triangle valid."""
+    s = noise.sigma(t)
+    h = s * s * lapack.dpotri(prior.cholesky_factor, lower=1)[0] + proc.gram(t)
+    return lapack.dpotri(lapack.dpotrf(h, lower=1)[0], lower=1)[0]
+
+
+def _families(shape):
+    prior = squared_exponential_prior(shape)
+    anchor = prior_sample(prior, RandomSource(10))
+    return prior, (GaussianBlurProcess(shape), GaussianMaskInpaintProcess(shape),
+                   BlendingProcess(anchor))
+
+
+@pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
+def test_oracle_caches_the_packed_lower_triangle_of_the_inverse(shape):
+    # each entry holds column j's rows j..n-1 of H_t^{-1}, one column after another
+    prior, procs = _families(shape)
+    noise = NoiseSchedule()
+    y = prior_sample(prior, RandomSource(11))
+    for proc in procs:
+        oracle = OracleDenoiser(prior, proc, noise)
+        for t in (0.0, 0.37, 1.0):
+            oracle.estimate(y, t)
+            inverse = _full_storage_inverse(prior, proc, noise, t)
+            packed = np.concatenate([inverse[j:, j] for j in range(prior.n)])
+            assert np.array_equal(oracle._inverse_cache[t], packed)
+
+
+@pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
+def test_oracle_apply_matches_full_storage_dsymv(shape):
+    prior, procs = _families(shape)
+    noise = NoiseSchedule()
+    y, v = prior_sample(prior, RandomSource(11)), prior_sample(prior, RandomSource(12))
+    for proc in procs:
+        oracle = OracleDenoiser(prior, proc, noise)
+        for t in (0.0, 0.37, 1.0):
+            inverse = _full_storage_inverse(prior, proc, noise, t)
+            x = proc.rmatvec(t, y.values - proc.apply(t, prior.mean).values)
+            expected = prior.mean.values + blas.dsymv(1.0, inverse, x, lower=1)
+            got = oracle.estimate(y, t).values
+            assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+            expected = proc.matvec(t, blas.dsymv(1.0, inverse, v.values, lower=1))
+            got = oracle.vjp(y, t, v).values
+            assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_oracle_cache_cap_holds_a_32x32_sweep_or_one_64x64_entry():
+    # an entry counts as its packed bytes, 4 n (n + 1)
+    prior, (proc, _, _) = _families((5, 9))
+    oracle = OracleDenoiser(prior, proc, NoiseSchedule())
+    oracle.estimate(prior.mean, 0.5)
+    assert oracle._inverse_cache[0.5].nbytes == 4 * 45 * 46
+    at_32, at_64 = 4 * 1024 * 1025, 4 * 4096 * 4097
+    assert 20 * at_32 <= _INVERSE_CACHE_BYTES < 21 * at_32
+    assert at_64 <= _INVERSE_CACHE_BYTES < 2 * at_64
+
+
 def test_oracle_cache_keeps_its_oldest_severities_within_the_cap():
-    # 25 severities of 8 MiB at 32x32 against a 160 MiB cap: the cache holds 20, evicting
+    # 25 severities of 4 MiB at 32x32 against an 84 MiB cap: the cache holds 20, evicting
     # the newest, so a rerun finds the first 19 warm and factors the last 6 again
     class CountingInpaint(GaussianMaskInpaintProcess):
         grams = 0
@@ -221,7 +281,7 @@ def test_oracle_cache_keeps_its_oldest_severities_within_the_cap():
     finally:
         tracemalloc.stop()
     assert len(first.steps) == 25 and CountingInpaint.grams == 25
-    assert peak <= 184 * 2**20  # 200 MiB of H_t^{-1} unbounded
+    assert peak <= 104 * 2**20  # unbounded: 25 packed entries (100 MiB) beside three 8 MiB arrays
     CountingInpaint.grams = 0
     second = dirac_sample(oracle, proc, noise, y_tilde, config)
     assert CountingInpaint.grams == 6
