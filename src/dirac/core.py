@@ -198,18 +198,21 @@ def prior_nll(prior: GaussianPrior, x: Signal) -> float:
     C-ordered factor, with trans=1: the call solve_triangular makes, without its scan
     of the n x n factor for non-finite values.
     """
-    if x.shape != prior.mean.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {prior.mean.shape}")
-    r = x.values - prior.mean.values
+    r = _difference(x, prior.mean)
     white = lapack.dtrtrs(prior.cholesky_factor.T, r, lower=0, trans=1, overwrite_b=1)[0]
     return float(
         0.5 * white @ white + 0.5 * prior.log_det + 0.5 * prior.n * math.log(2.0 * math.pi))
 
 
-def mse(a: Signal, b: Signal) -> float:
+def _difference(a: Signal, b: Signal) -> np.ndarray:
+    """a - b over the flat values, refusing signals of different shapes."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a.values - b.values
+    return a.values - b.values
+
+
+def mse(a: Signal, b: Signal) -> float:
+    d = _difference(a, b)
     return float(np.mean(d * d))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import GaussianPrior, RandomSource, Signal, prior_sample
-from .schedule import SeveritySchedule, linear_schedule
+from .schedule import SeveritySchedule, check_severity, linear_schedule
 
 __all__ = [
     "DegradationProcess",
@@ -51,9 +51,15 @@ class DegradationProcess(ABC):
         """Degrade x at severity t in [0,1]; a family with an offset adds it."""
         return x.with_values(self.matvec(t, x.values))
 
-    @abstractmethod
     def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         """Forward transition G_{t_lo -> t_hi} taking A_{t_lo}(x) to A_{t_hi}(x)."""
+        if not t_lo <= t_hi:
+            raise ValueError("transition requires t_lo <= t_hi")
+        return self._transition(t_lo, t_hi, y)
+
+    @abstractmethod
+    def _transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
+        """The family's own transition, for t_lo <= t_hi."""
 
     @abstractmethod
     def eigenvalues(self, t: float) -> np.ndarray:
@@ -83,9 +89,9 @@ class DegradationProcess(ABC):
         """Dense n x n Gram matrix A(t)^T A(t); pixel-diagonal by default."""
         return np.diag(np.square(self.eigenvalues(t)))
 
-    @abstractmethod
     def as_matrix(self, t: float) -> np.ndarray:
-        """Dense n x n linear part of the operator at severity t (verification reference)."""
+        """Dense n x n linear part A(t), the verification reference; pixel-diagonal by default."""
+        return np.diag(self.eigenvalues(t))
 
     def offset(self, t: float) -> np.ndarray:
         """Constant part of the operator; zero for linear processes."""
@@ -107,10 +113,6 @@ class DegradationProcess(ABC):
     def lipschitz_x(self, t: float) -> float:
         """Spectral norm of the linear part A(t): its largest |eigenvalue|."""
         return float(np.max(np.abs(self.eigenvalues(t))))
-
-    def _check_range(self, t: float) -> None:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"severity {t} outside [0,1]")
 
 
 def lipschitz_t_estimate(
@@ -250,9 +252,7 @@ class GaussianBlurProcess(DegradationProcess):
         v = 2.0 * _blur_variance(self.param_of(t))
         return functools.reduce(np.kron, [self._axis_blur(v, n) for n in self._shape])
 
-    def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
-        if t_lo > t_hi:
-            raise ValueError("transition requires t_lo <= t_hi")
+    def _transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         dv = _blur_variance(self.param_of(t_hi)) - _blur_variance(self.param_of(t_lo))
         if dv <= 0.0:
             return y
@@ -290,14 +290,11 @@ def inpaint_mask(w: float, k: int, shape: tuple[int, ...], center=None) -> Signa
     """Smooth inpainting mask (1 - f/max f)^k from an isotropic Gaussian bump f.
 
     w = 0 returns all ones (identity mask); the mask is 0 at the bump's peak
-    for any w > 0 and entrywise non-increasing in w.
+    for any w > 0 and entrywise non-increasing in w. It is the mask of the
+    inpainting process whose width grows linearly to w, at severity 1.
     """
-    if w < 0:
-        raise ValueError("mask width must be non-negative")
-    if k < 1:
-        raise ValueError("sharpness exponent must be >= 1")
-    shape = tuple(int(s) for s in shape)
-    return Signal(_mask_values(w, k, _bump_d2(shape, center)), shape)
+    proc = GaussianMaskInpaintProcess(shape, linear_schedule(0.0, w), k, center=center)
+    return Signal(proc.eigenvalues(1.0), proc.shape)
 
 
 class GaussianMaskInpaintProcess(DegradationProcess):
@@ -306,8 +303,8 @@ class GaussianMaskInpaintProcess(DegradationProcess):
     M_0 is the identity (w(0)=0) and transitions divide masks entrywise, so
     composition is exact up to rounding; this is the designated process for
     exactness-sensitive checks. Each mask is recomputed when needed from the
-    pixels' squared distances to the bump centre, computed once (bit-identical
-    to inpaint_mask), so the process keeps no per-severity state.
+    pixels' squared distances to the bump centre, computed once, so the process
+    keeps no per-severity state.
     """
 
     def __init__(
@@ -329,8 +326,6 @@ class GaussianMaskInpaintProcess(DegradationProcess):
             raise ValueError("sharpness exponent must be >= 1")
         self.schedule = schedule
         self.k = int(k)
-        self.w_final = schedule.knots[-1][1]
-        self.center = center
         self._d2 = _bump_d2(self._shape, center)
 
     @property
@@ -343,17 +338,12 @@ class GaussianMaskInpaintProcess(DegradationProcess):
     def eigenvalues(self, t: float) -> np.ndarray:
         return _mask_values(self.param_of(t), self.k, self._d2)
 
-    def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
-        if t_lo > t_hi:
-            raise ValueError("transition requires t_lo <= t_hi")
+    def _transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         m_lo, m_hi = self.eigenvalues(t_lo), self.eigenvalues(t_hi)
         out = np.zeros_like(y.values)
         live = m_lo > _MASK_GUARD
         out[live] = y.values[live] * m_hi[live] / m_lo[live]
         return y.with_values(out)
-
-    def as_matrix(self, t: float) -> np.ndarray:
-        return np.diag(self.eigenvalues(t))
 
 
 class BlendingProcess(DegradationProcess):
@@ -372,16 +362,14 @@ class BlendingProcess(DegradationProcess):
         return self.anchor.shape
 
     def param_of(self, t: float) -> float:
-        self._check_range(t)
+        check_severity(t)
         return float(t)
 
     def apply(self, t: float, x: Signal) -> Signal:
-        self._check_range(t)
+        check_severity(t)
         return x.with_values(t * self.anchor.values + (1.0 - t) * x.values)
 
-    def transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
-        if t_lo > t_hi:
-            raise ValueError("transition requires t_lo <= t_hi")
+    def _transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         if t_lo == t_hi or t_lo == 1.0:
             return y
         # Recover x from y = t'*anchor + (1-t')*x, then re-blend at t''.
@@ -391,12 +379,7 @@ class BlendingProcess(DegradationProcess):
         )
 
     def eigenvalues(self, t: float) -> np.ndarray:
-        self._check_range(t)
-        return np.full(self.n, 1.0 - t)
-
-    def as_matrix(self, t: float) -> np.ndarray:
-        self._check_range(t)
-        return (1.0 - t) * np.eye(self.n)
+        return np.full(self.n, 1.0 - self.param_of(t))
 
     def offset(self, t: float) -> np.ndarray:
         return t * self.anchor.values

@@ -18,6 +18,7 @@ from scipy.linalg import blas, lapack
 
 from .core import GaussianPrior, RandomSource, Signal, check_length, prior_sample, read_binary
 from .degrade import DegradationProcess
+from .schedule import check_severity
 from .sdp import NoiseSchedule, sdp_sample
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
     "score_from_denoiser",
     "loss_denoising",
     "loss_incremental",
-    "check_training_loss",
+    "check_training",
     "train_affine",
     "TrainingReport",
     "save_model",
@@ -168,8 +169,7 @@ class AffineDenoiser(Denoiser):
         return self.d.shape[1]
 
     def bin_index(self, t: float) -> int:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"severity {t} outside [0,1]")
+        check_severity(t)
         return min(int(self.n_bins * t), self.n_bins - 1)
 
     def estimate(self, y: Signal, t: float) -> Signal:
@@ -202,8 +202,6 @@ def loss_denoising(den: Denoiser, proc, noise, batch) -> float:
 
 def loss_incremental(den: Denoiser, proc, noise, delta_t: float, batch) -> float:
     """Same objective evaluated at tau = max(t - delta_t, 0) instead of t."""
-    if not 0.0 <= delta_t <= 1.0:
-        raise ValueError("delta_t must be in [0,1]")
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     total = 0.0
@@ -221,7 +219,10 @@ def loss_incremental(den: Denoiser, proc, noise, delta_t: float, batch) -> float
 class TrainingReport:
     losses: list[float] = field(default_factory=list)
     diverged: bool = False
-    steps_run: int = 0
+
+    @property
+    def steps_run(self) -> int:
+        return len(self.losses)
 
 
 def affine_loss_gradients(model: AffineDenoiser, proc, noise, delta_t: float, batch):
@@ -249,12 +250,15 @@ def affine_loss_gradients(model: AffineDenoiser, proc, noise, delta_t: float, ba
     return g_d, g_c
 
 
-def check_training_loss(loss_kind: str, delta_t: float) -> None:
-    """A known loss kind; denoising is the incremental loss at delta_t = 0, and only there."""
+def check_training(loss_kind: str, delta_t: float, steps: int, step_size: float, batch_size: int):
+    """train_affine's settings; denoising is the incremental loss at delta_t = 0, and only there."""
     if loss_kind not in ("denoising", "incremental"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     if loss_kind == "denoising" and delta_t != 0.0:
         raise ValueError(f"loss = denoising trains at delta_t = 0, not {delta_t:g}")
+    if not 0.0 <= delta_t <= 1.0 or steps < 0 or not 0.0 < step_size < np.inf or batch_size < 1:
+        raise ValueError(f"training needs 0 <= delta_t <= 1, steps >= 0, 0 < step_size < inf and "
+                         f"batch_size >= 1, not {delta_t:g}, {steps}, {step_size:g}, {batch_size}")
 
 
 def train_affine(
@@ -274,9 +278,7 @@ def train_affine(
     Fresh (x0, t, y_t) are sampled each step with t uniform on [0,1]; aborts
     with diverged=True when the batch loss exceeds 1e6.
     """
-    if steps < 0 or step_size <= 0 or batch_size <= 0:
-        raise ValueError("steps, step_size and batch_size must be positive")
-    check_training_loss(loss_kind, delta_t)
+    check_training(loss_kind, delta_t, steps, step_size, batch_size)
     if rng is None:
         rng = RandomSource(0)
     report = TrainingReport()
@@ -291,7 +293,6 @@ def train_affine(
             batch.append((x0, y_t, t))
         loss = loss_incremental(model, proc, noise, delta_t, batch)
         report.losses.append(loss)
-        report.steps_run = step + 1
         if not np.isfinite(loss) or loss > 1e6:
             report.diverged = True
             return report

@@ -9,6 +9,7 @@ import numpy as np
 
 
 __all__ = [
+    "check_severity",
     "SeveritySchedule",
     "linear_schedule",
     "DistanceTable",
@@ -27,12 +28,18 @@ __all__ = [
 ]
 
 
+def check_severity(t: float) -> None:
+    """Refuse a severity outside [0,1], NaN included: every severity-indexed call checks here."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"severity {t} outside [0,1]")
+
+
 @dataclass(frozen=True)
 class SeveritySchedule:
     """Piecewise-linear map from severity t in [0,1] to operator parameter w.
 
-    Knots must include both endpoints; t strictly increasing, w non-decreasing
-    (monotone severity).
+    Knots must be finite and include both endpoints; t strictly increasing, w
+    non-decreasing (monotone severity).
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -43,6 +50,8 @@ class SeveritySchedule:
         knots = tuple((float(t), float(w)) for t, w in self.knots)
         ts = [t for t, _ in knots]
         ws = [w for _, w in knots]
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("schedule knots must be finite")
         if len(knots) < 2 or ts[0] != 0.0 or ts[-1] != 1.0:
             raise ValueError("schedule knots must include endpoints t=0 and t=1")
         if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
@@ -54,8 +63,7 @@ class SeveritySchedule:
 
     def interpolate(self, t: float) -> float:
         """np.interp over the knots in scalar Python: the same arithmetic, far cheaper."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"severity {t} outside [0,1]")
+        check_severity(t)
         j = bisect.bisect_right(self._ts, t) - 1
         (t0, w0), (t1, w1) = self.knots[j], self.knots[min(j + 1, len(self.knots) - 1)]
         return w0 if t == t0 else (w1 - w0) / (t1 - t0) * (t - t0) + w0
@@ -137,7 +145,9 @@ def build_distance_table(
 
 
 def check_knot_count(m: int, n_candidates: int) -> None:
-    """m interior knots and both endpoints must fit among the candidates."""
+    """0 <= m <= n_candidates - 2: m interior knots and both endpoints fit among the candidates."""
+    if m < 0:
+        raise ValueError(f"m={m} must be >= 0")
     if m > n_candidates - 2:
         raise ValueError(f"m={m} too large for {n_candidates} candidates")
 
@@ -234,7 +244,11 @@ def load_schedule(path, process_name: str = "") -> SeveritySchedule:
     header, rows = _read_text(path, 4)
     if process_name and header[0] not in (process_name, "process"):
         raise ValueError(f"{path}: schedule written for {header[0]}, not {process_name}")
-    return SeveritySchedule(tuple(map(tuple, _numbers(path, rows, int(header[3]) + 2, 2))))
+    knots = tuple(map(tuple, _numbers(path, rows, int(header[3]) + 2, 2)))
+    try:
+        return SeveritySchedule(knots)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_distance_table(table: DistanceTable, path) -> None:

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from .core import GaussianPrior, RandomSource, Signal
 from .degrade import DegradationProcess
+from .schedule import check_severity
 
 __all__ = [
     "NoiseSchedule",
@@ -41,8 +42,7 @@ class NoiseSchedule:
             raise ValueError("geometric schedule needs sigma_min > 0 unless fully noiseless")
 
     def sigma(self, t: float) -> float:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"severity {t} outside [0,1]")
+        check_severity(t)
         if self.sigma_min == 0.0:
             return 0.0
         return self.sigma_min * (self.sigma_max / self.sigma_min) ** t

@@ -84,7 +84,6 @@ class DcReport:
     deviations: list[float] = field(default_factory=list)  # per-entry RMS of mean iterate
     verdicts: list[ConsistencyVerdict] = field(default_factory=list)
     deviation_budget: float = 0.0
-    consistency_tolerance: float = 0.0
     passed: bool = False
 
 
@@ -129,7 +128,7 @@ def verify_theorem_dc(
 
     budget = 4.0 * sigma1 / math.sqrt(n_seeds)
     tol = 5.0 * sigma1 / math.sqrt(n_seeds)
-    report = DcReport(deviation_budget=budget, consistency_tolerance=tol)
+    report = DcReport(deviation_budget=budget)
     for tau, summed in zip(taus, total):
         tau = round(tau, 12)
         mean_iter = Signal(summed / n_seeds, x0.shape)
@@ -221,7 +220,6 @@ class PdReport:
     nll_std: list[float] = field(default_factory=list)
     peak_t: float = math.nan  # severity of the distortion peak
     peak_psnr: float = math.nan
-    final_psnr: float = math.nan
     peak_nll: float = math.nan
     final_nll: float = math.nan
     interior_peak: bool = False
@@ -265,7 +263,6 @@ def perception_distortion_sweep(
     peak = int(np.argmax(report.psnr_mean))
     report.peak_t = ts[peak]
     report.peak_psnr = report.psnr_mean[peak]
-    report.final_psnr = report.psnr_mean[-1]
     report.peak_nll = report.nll_mean[peak]
     report.final_nll = report.nll_mean[-1]
     report.interior_peak = 0 < peak < len(ts) - 1
@@ -275,7 +272,6 @@ def perception_distortion_sweep(
 
 @dataclass
 class RobustnessReport:
-    kind: str = ""  # "operator" or "noise"
     grid: list[float] = field(default_factory=list)
     psnr: list[float] = field(default_factory=list)
     nll: list[float] = field(default_factory=list)
@@ -301,7 +297,7 @@ def robustness_sweep(
     rng = RandomSource(base_seed)
     truth = prior_sample(prior, rng.split(0))
     meas_noise = rng.split(1).normal(truth.n)
-    report = RobustnessReport(kind=kind, grid=list(grid))
+    report = RobustnessReport(grid=list(grid))
     for value in grid:
         if kind == "operator":
             if perturbed_process_factory is None:

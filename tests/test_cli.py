@@ -77,7 +77,8 @@ def test_out_of_range_value_rejected(tmp_path):
 # (section, key, value, loads). Every float key refuses nan and +-inf.
 # load_config checks [noise] and [sampler] by
 # building NoiseSchedule and SamplerConfig, so their cross-field rules apply;
-# [schedule] m must leave room for both endpoints among n_candidates (101).
+# [schedule] m must leave room for both endpoints among n_candidates (101);
+# check_training owns [training] and SamplerConfig owns [verify] delta_t.
 LOAD_CASES = [
     ("noise", "sigma_min", "-1", False),
     ("noise", "sigma_min", "0", False),
@@ -133,13 +134,26 @@ LOAD_CASES = [
     ("process", "w_final", "-1", False),
     ("process", "w_final", "inf", False),
     ("training", "step_size", "inf", False),
+    ("training", "step_size", "0", False),
+    ("training", "steps", "-1", False),
+    ("training", "steps", "0", True),
+    ("training", "batch_size", "0", False),
+    ("training", "delta_t", "nan", False),
     ("training", "delta_t", "0.3", False),  # the denoising loss trains at delta_t = 0
     ("training", "loss", "incremental", True),
     ("training", "loss", "bogus", False),
     ("verify", "suites", "nonsense", False),
     ("verify", "suites", "tweedie, thm34", True),
+    ("verify", "delta_t", "0", False),
+    ("verify", "delta_t", "1.5", False),
+    ("verify", "delta_t", "1", True),
     ("schedule", "m", "99", True),
     ("schedule", "m", "100", False),
+    ("schedule", "m", "-1", False),
+    ("schedule", "m", "0", True),
+    ("schedule", "n_candidates", "1", False),
+    ("schedule", "n_candidates", "22", True),
+    ("schedule", "n_candidates", "21", False),  # m = 20 needs 22
 ]
 
 
@@ -241,6 +255,26 @@ def test_schedule_file_of_another_family_exits_2(tmp_path, capsys):
                    "not GaussianBlurProcess"]
     inpaint = write_config(tmp_path, f"\n[process]\nkind = inpaint\nschedule_file = {path}\n")
     assert run(["sample", "--config", inpaint]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("kind", ["inpaint", "blur"])
+@pytest.mark.parametrize("command", ["schedule", "train", "sample"])
+def test_non_finite_schedule_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, kind):
+    # a NaN last width once loaded: sampling then aborted on a non-finite iterate
+    # (inpainting) or failed converting NaN to an integer (blur)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table, training or sampling started")
+
+    for name in ("build_distance_table", "train_affine", "dirac_sample"):
+        monkeypatch.setattr(cli, name, refuse)
+    family = "GaussianBlurProcess" if kind == "blur" else "GaussianMaskInpaintProcess"
+    path = tmp_path / "nan.txt"
+    path.write_text(f"{family} rmse 11 0\n0 0\n1 nan\n")
+    cfg = write_config(tmp_path, f"\n[process]\nkind = {kind}\nschedule_file = {path}\n")
+    assert run([command, "--config", cfg]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: schedule knots must be finite"]
 
 
 def test_blur_as_wide_as_image_is_accepted(tmp_path):

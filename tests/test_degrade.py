@@ -230,6 +230,8 @@ def test_inpaint_process_mask_bit_identical_to_inpaint_mask(shape, center):
 def test_inpaint_sharpness_checked_at_construction():
     with pytest.raises(ValueError):
         GaussianMaskInpaintProcess(SHAPE, k=0)
+    with pytest.raises(ValueError, match="^sharpness exponent must be >= 1$"):
+        inpaint_mask(1.0, 0, SHAPE)
 
 
 def _memory_growth_over_severities(proc):

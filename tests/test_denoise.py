@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import blas, lapack
 
-from dirac import cli
+from dirac import cli, denoise
 from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import (
@@ -464,6 +464,27 @@ def test_train_refuses_loss_rule_violations(setup, loss_kind, delta_t):
     model = AffineDenoiser.initialized(prior)
     with pytest.raises(ValueError, match="loss"):
         train_affine(model, proc, noise, prior, loss_kind=loss_kind, delta_t=delta_t, steps=1)
+
+
+@pytest.mark.parametrize("setting", [
+    {"step_size": float("nan")}, {"step_size": 0.0}, {"step_size": float("inf")},
+    {"steps": -1}, {"batch_size": 0},
+    {"loss_kind": "incremental", "delta_t": 1.5},
+    {"loss_kind": "incremental", "delta_t": float("nan")},
+], ids=["step_size=nan", "step_size=0", "step_size=inf", "steps=-1", "batch_size=0",
+        "delta_t=1.5", "delta_t=nan"])
+def test_train_refuses_out_of_range_settings_before_drawing(setup, monkeypatch, setting):
+    # step_size = nan or inf once ran a step and reported divergence; delta_t was first
+    # checked by the loss, after a batch had been drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(denoise, "sdp_sample", refuse)
+    prior, proc, noise = setup
+    model = AffineDenoiser.initialized(prior)
+    with pytest.raises(ValueError, match=r"^training needs 0 <= delta_t <= 1, steps >= 0, "
+                                         r"0 < step_size < inf and batch_size >= 1, not "):
+        train_affine(model, proc, noise, prior, **{"steps": 2, **setting})
 
 
 def test_train_zero_steps_keeps_initialization(setup):

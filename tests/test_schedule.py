@@ -56,6 +56,16 @@ def test_schedule_monotonicity_enforced():
         SeveritySchedule(((0.0, 2.0), (1.0, 1.0)))
 
 
+@pytest.mark.parametrize("knots", [((0.0, 0.0), (1.0, np.nan)), ((0.0, 0.0), (1.0, np.inf)),
+                                   ((0.0, -np.inf), (1.0, 0.0)),
+                                   ((0.0, 0.0), (np.nan, 1.0), (1.0, 2.0))],
+                         ids=["nan-width", "inf-width", "-inf-width", "nan-severity"])
+def test_schedule_refuses_non_finite_knots(knots):
+    # NaN fails every comparison, so the ordering checks alone let it through
+    with pytest.raises(ValueError, match="^schedule knots must be finite$"):
+        SeveritySchedule(knots)
+
+
 def test_interpolate_exact_at_knots_and_midpoint():
     sched = linear_schedule(0.3, 3.0)
     assert sched.interpolate(0.0) == 0.3
@@ -381,6 +391,9 @@ def test_text_loaders_name_malformed_lines(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("inpaint rmse 11 1\n0 0\n0.5\n1 1.6\n")
     with pytest.raises(ValueError, match=r"bad.txt: line 3: expected 2 values, got 1"):
+        load_schedule(path)
+    path.write_text("inpaint rmse 11 0\n0 0\n1 nan\n")
+    with pytest.raises(ValueError, match=r"^\S*bad.txt: schedule knots must be finite$"):
         load_schedule(path)
     path.write_text("inpaint rmse 2\n0 1\n0 1\n0 x\n1 0\n")
     with pytest.raises(ValueError, match=r"bad.txt: could not convert string to float: 'x'"):
