@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -72,17 +73,16 @@ class Signal:
 class GaussianPrior:
     """Gaussian data model N(mean, covariance) over signals.
 
-    The covariance must be finite, symmetric within 1e-12 and have every
-    eigenvalue at least 1e-9. The floor is tested by inertia, not by an
-    eigendecomposition: Sigma - 1e-9 I must factor by Cholesky (LAPACK dpotrf,
-    in place). Both checks share one n x n scratch array, freed before the
-    stored factor is taken.
+    The covariance must be finite, symmetric within 1e-12 and have every eigenvalue at least
+    1e-9. The floor is tested by inertia, not by an eigendecomposition: Sigma - 1e-9 I must
+    factor by Cholesky (LAPACK dpotrf, in place). Both checks share one n x n scratch array,
+    freed before the stored factor is taken.
 
     ``cholesky_factor``, ``log_det`` and ``entry_bound`` are computed, not passed.
-    ``cholesky_factor`` is numpy's Cholesky of the lower triangle.
-    ``entry_bound`` is the radius B such that samples are treated as
-    entrywise bounded for error-bound audits; samples exceeding it are
-    rejected by those audits rather than clipped.
+    ``cholesky_factor`` is numpy's Cholesky of the lower triangle. ``precision`` is Sigma^{-1},
+    formed on first use and kept: only its lower triangle is valid. ``entry_bound`` is the
+    radius B such that samples are treated as entrywise bounded for error-bound audits; samples
+    exceeding it are rejected by those audits rather than clipped.
     """
 
     mean: Signal
@@ -126,6 +126,13 @@ class GaussianPrior:
     @property
     def n(self) -> int:
         return self.mean.n
+
+    @functools.cached_property
+    def precision(self) -> np.ndarray:
+        """Read-only Sigma^{-1} by LAPACK dpotri on the factor, valid in the lower triangle."""
+        precision = lapack.dpotri(self.cholesky_factor, lower=1)[0]
+        precision.setflags(write=False)
+        return precision
 
 
 class RandomSource:
@@ -263,6 +270,14 @@ def check_length(path, data: bytes, expected: int, at_least: bool = False) -> No
             f"{path}: expected {'at least ' * at_least}{expected} bytes, got {len(data)}")
 
 
+def with_path(path, build, *args, **kwargs):
+    """build(*args, **kwargs), with the path put in front of the message of its ValueError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_binary(path, magic: bytes, version: int, header: int) -> bytes:
     """A binary file's bytes, once its header length, magic and version byte check out."""
     with open(path, "rb") as f:
@@ -280,7 +295,5 @@ def read_signal(path) -> Signal:
     check_length(path, data, header, at_least=True)
     shape = struct.unpack_from(f"<{ndim}I", data, 10)
     check_length(path, data, header + 8 * math.prod(shape))
-    try:
-        return Signal(np.frombuffer(data, dtype="<f8", offset=header).copy(), shape)
-    except ValueError as exc:  # a shape preamble of ndim 0 or 3, or a zero size
-        raise ValueError(f"{path}: {exc}") from exc
+    # Signal refuses a shape preamble of ndim 0 or 3, or a zero size
+    return with_path(path, Signal, np.frombuffer(data, dtype="<f8", offset=header).copy(), shape)

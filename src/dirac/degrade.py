@@ -1,14 +1,13 @@
 """Time-indexed degradation operator families with forward transition maps.
 
-All processes here are affine in the signal: apply(t, x) = A(t) x + b(t).
-A family's A(t) are symmetric with one orthonormal eigenbasis for every t,
-so each family states eigenvalues(t) in to_modes order: the mask over pixels
-(inpainting), 1 - t (blending), or the axes' DFT multipliers (blur). matvec,
-the Gram matrix and the spectral norm follow, pixel-diagonal by default (blur
-keeps its circulant forms); the dense matrix is only the verification reference.
-Severities compose exactly (up to rounding) through transition maps
-G_{t' -> t''}: inpainting divides masks, blur adds discrete-Gaussian
-variances and blending re-blends toward its anchor.
+All processes here are affine in the signal: apply(t, x) = A(t) x + b(t). A family's A(t) are
+symmetric with one orthonormal eigenbasis for every t, so each family states eigenvalues(t) in
+to_modes order: the mask over pixels (inpainting), 1 - t (blending), or the axes' DFT
+multipliers (blur). matvec, add_gram (A^T A added into the caller's n x n array) and the
+spectral norm follow, pixel-diagonal by default (blur keeps its circulant forms); the dense
+matrix is only the verification reference. Severities compose exactly (up to rounding) through
+transition maps G_{t' -> t''}: inpainting divides masks, blur adds discrete-Gaussian variances
+and blending re-blends toward its anchor.
 """
 
 from __future__ import annotations
@@ -85,9 +84,9 @@ class DegradationProcess(ABC):
         """Transpose A(t)^T along the last axis: matvec, as every family is symmetric."""
         return self.matvec(t, x)
 
-    def gram(self, t: float) -> np.ndarray:
-        """Dense n x n Gram matrix A(t)^T A(t); pixel-diagonal by default."""
-        return np.diag(np.square(self.eigenvalues(t)))
+    def add_gram(self, t: float, out: np.ndarray) -> None:
+        """Add A(t)^T A(t) into the n x n array out; pixel-diagonal by default, on the diagonal."""
+        out.flat[:: out.shape[0] + 1] += np.square(self.eigenvalues(t))
 
     def as_matrix(self, t: float) -> np.ndarray:
         """Dense n x n linear part A(t), the verification reference; pixel-diagonal by default."""
@@ -183,14 +182,13 @@ class GaussianBlurProcess(DegradationProcess):
     """Separable circular discrete-Gaussian blur with severity-scheduled width.
 
     The width w_t sets a variance v(w_t), that of the sampled kernel
-    blur_kernel(w_t, 2*ceil(4 w_t) + 1), and each axis is blurred by
-    Lindeberg's discrete Gaussian of that variance, whose DFT multiplier on
-    the periodic grid is exp(v (cos 2 pi k/N - 1)) (IEEE TPAMI 12(3), 1990).
-    Variances add under convolution, so transitions blur by v'' - v' and
-    compose exactly up to rounding. A_t is symmetric with spectral norm 1.
-    Following the reference setup, a residual width w_min is kept at t=0, so
-    A_0 is only approximately the identity; identity_tol reflects the measured
-    relative deviation on prior samples.
+    blur_kernel(w_t, 2*ceil(4 w_t) + 1), and each axis is blurred by Lindeberg's discrete
+    Gaussian of that variance, whose DFT multiplier on the periodic grid is
+    exp(v (cos 2 pi k/N - 1)) (IEEE TPAMI 12(3), 1990). Variances add under convolution, so
+    transitions blur by v'' - v' and compose exactly up to rounding. A_t is symmetric with
+    spectral norm 1. Following the reference setup, a residual width w_min is kept at t=0, so
+    A_0 is only approximately the identity; identity_tol reflects the measured relative
+    deviation on prior samples.
     """
 
     identity_tol = 0.05
@@ -247,10 +245,11 @@ class GaussianBlurProcess(DegradationProcess):
     def matvec(self, t: float, x: np.ndarray) -> np.ndarray:
         return self._blur(_blur_variance(self.param_of(t)), x)
 
-    def gram(self, t: float) -> np.ndarray:
-        """Kronecker product of C(2v) per axis: variances add, so C(v)^2 = C(2v)."""
+    def add_gram(self, t: float, out: np.ndarray) -> None:
+        """Add the Kronecker product of C(2v) per axis: variances add, so C(v)^2 = C(2v)."""
         v = 2.0 * _blur_variance(self.param_of(t))
-        return functools.reduce(np.kron, [self._axis_blur(v, n) for n in self._shape])
+        gram = functools.reduce(np.kron, [self._axis_blur(v, n) for n in self._shape])
+        out += gram.T  # exactly symmetric: the transpose reads a Fortran-order out in order
 
     def _transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         dv = _blur_variance(self.param_of(t_hi)) - _blur_variance(self.param_of(t_lo))
@@ -300,11 +299,10 @@ def inpaint_mask(w: float, k: int, shape: tuple[int, ...], center=None) -> Signa
 class GaussianMaskInpaintProcess(DegradationProcess):
     """Diagonal masking with a smooth Gaussian-bump mask growing with severity.
 
-    M_0 is the identity (w(0)=0) and transitions divide masks entrywise, so
-    composition is exact up to rounding; this is the designated process for
-    exactness-sensitive checks. Each mask is recomputed when needed from the
-    pixels' squared distances to the bump centre, computed once, so the process
-    keeps no per-severity state.
+    M_0 is the identity (w(0)=0) and transitions divide masks entrywise, so composition is exact
+    up to rounding; this is the designated process for exactness-sensitive checks. Each mask is
+    recomputed when needed from the pixels' squared distances to the bump centre, computed once,
+    so the process keeps no per-severity state. The sharpness exponent k is an integer >= 1.
     """
 
     def __init__(
@@ -322,8 +320,8 @@ class GaussianMaskInpaintProcess(DegradationProcess):
             schedule = linear_schedule(0.0, w_final)
         if schedule.knots[0][1] != 0.0:
             raise ValueError("inpainting schedule must start at w=0 (identity mask)")
-        if k < 1:
-            raise ValueError("sharpness exponent must be >= 1")
+        if not (k >= 1 and float(k).is_integer()):
+            raise ValueError("sharpness exponent must be an integer >= 1")
         self.schedule = schedule
         self.k = int(k)
         self._d2 = _bump_d2(self._shape, center)

@@ -63,23 +63,22 @@ class OracleDenoiser(Denoiser):
 
     estimate(y, t) = mu + H_t^{-1} M^T (y - A_t(mu)), H_t = sigma_t^2 Sigma^{-1} + M^T M: the
     information form of the gain Sigma M^T (M Sigma M^T + sigma_t^2 I)^{-1} (Bishop, PRML
-    2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1}
-    is formed on the first cold severity, beside one n x n Fortran-order work buffer (8 MiB
-    at 32x32, allocated once rather than per severity) in which each cold severity forms
-    sigma_t^2 Sigma^{-1} + M^T M (M^T M from the process's `gram`) and factors and inverts
-    it in place. Each severity caches only the lower triangle of H_t^{-1}, packed column by
-    column in n(n + 1)/2 doubles (LAPACK's packed storage, applied by `dspmv`: 4 MiB at
-    32x32), up to _INVERSE_CACHE_BYTES (84 MiB) in all: a
+    2.3.3), one fixed linear map per severity, so vjp(v) = M H_t^{-1} v is exact. Sigma^{-1} is
+    the prior's `precision`, shared by every oracle on that prior. The oracle's one n x n array
+    is its Fortran-order work buffer (8 MiB at 32x32, allocated at construction): a cold
+    severity writes sigma_t^2 Sigma^{-1} there, the process's `add_gram` adds M^T M, and LAPACK
+    factors and inverts H_t in place, so inpainting and blending allocate no other n x n array.
+    Each severity caches the lower triangle of H_t^{-1} in LAPACK's packed storage (n(n + 1)/2
+    doubles, applied by `dspmv`: 4 MiB at 32x32), up to _INVERSE_CACHE_BYTES (84 MiB) in all: a
     trajectory visits each severity once, so only sweeps reuse entries. A new severity that
-    would overflow the cap evicts the most recently added entry and is itself kept, so
-    estimate and vjp at one t share a factorization. Under a sweep's cyclic traffic this
-    keeps the oldest entries warm, where evicting the oldest would miss on every severity
-    once they outnumber the cap; a severity factored again gives the same bits. At sigma_t = 0
-    the form stays exact where M^T M is positive definite; a singular H_t (an operator that
-    zeroes entries), or at sigma_t = 0 one singular to working precision (blur at high
-    severity), raises ValueError naming t and sigma_t. All dense algebra runs in scipy's
-    LAPACK/BLAS: numpy bundles a second OpenBLAS, whose pool a numpy `@` here would wake to
-    spin against scipy's.
+    would overflow the cap evicts the most recently added entry and is itself kept, so estimate
+    and vjp at one t share a factorization. Under a sweep's cyclic traffic this keeps the oldest
+    entries warm, where evicting the oldest would miss on every severity once they outnumber the
+    cap; a severity factored again gives the same bits. At sigma_t = 0 the form stays exact
+    where M^T M is positive definite; a singular H_t (an operator that zeroes entries), or at
+    sigma_t = 0 one singular to working precision (blur at high severity), raises ValueError
+    naming t and sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: a numpy `@` here would
+    wake numpy's own OpenBLAS pool to spin against scipy's.
     """
 
     supports_vjp = True
@@ -88,8 +87,7 @@ class OracleDenoiser(Denoiser):
         self.prior = prior
         self.proc = proc
         self.noise = noise
-        self._precision: np.ndarray | None = None
-        self._work: np.ndarray | None = None  # H_t, then its factor and inverse, per severity
+        self._work = np.empty((prior.n, prior.n), order="F")  # H_t, its factor, its inverse
         self._inverse_cache: dict[float, np.ndarray] = {}
 
     def _solve(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -100,12 +98,9 @@ class OracleDenoiser(Denoiser):
             entry = 4 * n * (n + 1)  # bytes of one packed H_t^{-1}
             while cache and (len(cache) + 1) * entry > _INVERSE_CACHE_BYTES:
                 cache.popitem()  # the newest entry
-            if self._precision is None:
-                self._precision = lapack.dpotri(self.prior.cholesky_factor, lower=1)[0]
-                self._work = np.empty((n, n), order="F")  # LAPACK works in place in this order
             s = self.noise.sigma(t)
-            h = np.multiply(s * s, self._precision, out=self._work)
-            h += self.proc.gram(t).T  # M^T M is symmetric, so its Fortran-order transpose is it
+            h = np.multiply(s * s, self.prior.precision, out=self._work)
+            self.proc.add_gram(t, h)
             anorm = lapack.dlange("1", h) if s == 0.0 else 0.0
             chol, info = lapack.dpotrf(h, lower=1, overwrite_a=1)
             # without noise nothing regularizes M^T M: also refuse it when singular to working

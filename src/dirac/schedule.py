@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import with_path
 
 __all__ = [
     "check_severity",
@@ -84,22 +85,21 @@ class DistanceTable:
     process_name: str = ""
 
     def __post_init__(self):
-        cand = np.asarray(self.candidates, dtype=np.float64)
-        d = np.asarray(self.d, dtype=np.float64)
-        params = np.asarray(self.params, dtype=np.float64)
+        names = ("candidates", "d", "params")
+        cand, d, params = (np.asarray(getattr(self, name), dtype=np.float64) for name in names)
         if d.shape != (cand.size, cand.size):
             raise ValueError("distance matrix shape does not match candidates")
+        if not all(np.isfinite(arr).all() for arr in (cand, d, params)):
+            raise ValueError("distance table candidates, distances and params must be finite")
         if np.any(np.abs(np.diag(d)) > 0):
             raise ValueError("distance table diagonal must be zero")
         if np.max(np.abs(d - d.T)) > 1e-12:
             raise ValueError("distance table must be symmetric")
         if np.any(d < 0):
             raise ValueError("distances must be non-negative")
-        for arr in (cand, d, params):
+        for name, arr in zip(names, (cand, d, params)):
             arr.setflags(write=False)
-        object.__setattr__(self, "candidates", cand)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "params", params)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -230,10 +230,7 @@ def _numbers(path, rows, count: int, width: int) -> np.ndarray:
     for no, fields in rows:
         if len(fields) != width:
             raise ValueError(f"{path}: line {no}: expected {width} values, got {len(fields)}")
-    try:
-        return np.array([[float(v) for v in fields] for _, fields in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return with_path(path, lambda: np.array([[float(v) for v in fields] for _, fields in rows]))
 
 
 def load_schedule(path, process_name: str = "") -> SeveritySchedule:
@@ -245,10 +242,7 @@ def load_schedule(path, process_name: str = "") -> SeveritySchedule:
     if process_name and header[0] not in (process_name, "process"):
         raise ValueError(f"{path}: schedule written for {header[0]}, not {process_name}")
     knots = tuple(map(tuple, _numbers(path, rows, int(header[3]) + 2, 2)))
-    try:
-        return SeveritySchedule(knots)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return with_path(path, SeveritySchedule, knots)
 
 
 def save_distance_table(table: DistanceTable, path) -> None:
@@ -263,5 +257,5 @@ def save_distance_table(table: DistanceTable, path) -> None:
 def load_distance_table(path) -> DistanceTable:
     (process_name, metric_name, size), rows = _read_text(path, 3)
     values = _numbers(path, rows, int(size) + 2, int(size))
-    return DistanceTable(values[0], values[2:], values[1], metric_name=metric_name,
-                         process_name=process_name)
+    return with_path(path, DistanceTable, values[0], values[2:], values[1],
+                     metric_name=metric_name, process_name=process_name)

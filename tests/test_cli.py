@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from dirac import cli
 from dirac.degrade import GaussianBlurProcess
@@ -586,11 +587,11 @@ def test_verify_runs_every_suite_on_the_main_thread(tmp_path, monkeypatch):
 
 def test_verify_pd_curve_and_robustness_share_one_blur_oracle(tmp_path, monkeypatch):
     # robustness steps through pd-curve's severities with the same oracle, so it
-    # factors none of its own: the oracle takes M^T M from gram once per cold severity
+    # factors none of its own: the oracle adds M^T M by add_gram once per cold severity
     grams = []
-    real = GaussianBlurProcess.gram
-    monkeypatch.setattr(GaussianBlurProcess, "gram",
-                        lambda self, t: grams.append(t) or real(self, t))
+    real = GaussianBlurProcess.add_gram
+    monkeypatch.setattr(GaussianBlurProcess, "add_gram",
+                        lambda self, t, out: grams.append(t) or real(self, t, out))
     pd_only = write_config(tmp_path, "\n[verify]\nsuites = pd-curve\npd_runs = 2\n")
     assert run(["verify", "--config", pd_only]) == cli.EXIT_OK
     alone = list(grams)
@@ -598,6 +599,26 @@ def test_verify_pd_curve_and_robustness_share_one_blur_oracle(tmp_path, monkeypa
     both = write_config(tmp_path, "\n[verify]\nsuites = pd-curve, robustness\npd_runs = 2\n")
     assert run(["verify", "--config", both]) == cli.EXIT_OK
     assert len(alone) == 20 and grams == alone
+
+
+def test_verify_forms_one_precision_for_every_oracle(tmp_path, monkeypatch):
+    # tweedie's three oracles and the shared blur oracle read Sigma^{-1} from the one prior,
+    # so LAPACK inverts that prior's factor once
+    priors, inversions = [], []
+    real_prior, real_dpotri = cli.build_prior, lapack.dpotri
+
+    def build_prior(config):
+        priors.append(real_prior(config))
+        return priors[-1]
+
+    def dpotri(c, *args, **kwargs):
+        inversions.append(any(c is p.cholesky_factor for p in priors))
+        return real_dpotri(c, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_prior", build_prior)
+    monkeypatch.setattr(lapack, "dpotri", dpotri)
+    assert run(["verify", "--config", write_config(tmp_path)]) == cli.EXIT_OK
+    assert len(priors) == 1 and sum(inversions) == 1
 
 
 def test_verify_thm36_negative_control(tmp_path, capsys, monkeypatch):

@@ -133,6 +133,17 @@ def test_prior_build_holds_at_most_one_scratch_array():
     assert peak <= 3 * n_by_n + 2**20
 
 
+def test_precision_is_formed_once_read_only_and_valid_in_its_lower_triangle():
+    prior = squared_exponential_prior((5, 7))
+    precision = prior.precision
+    assert prior.precision is precision and not precision.flags.writeable
+    # the bits of LAPACK dpotri on the stored factor
+    expected = scipy.linalg.lapack.dpotri(prior.cholesky_factor, lower=1)[0]
+    assert np.array_equal(np.tril(precision), np.tril(expected))
+    full = np.tril(precision) + np.tril(precision, -1).T
+    np.testing.assert_allclose(full @ prior.covariance, np.eye(prior.n), rtol=0, atol=1e-8)
+
+
 def test_entry_bound_formula():
     prior = squared_exponential_prior((4,), mean_value=0.5)
     expected = 0.5 + 4.0 * math.sqrt(np.max(np.diag(prior.covariance)))

@@ -24,6 +24,13 @@ def _rand_signal(seed, shape=SHAPE):
     return Signal.from_array(RandomSource(seed).normal(shape))
 
 
+def _gram(proc, t):
+    """A(t)^T A(t) as add_gram adds it into a zero array."""
+    out = np.zeros((proc.n, proc.n))
+    proc.add_gram(t, out)
+    return out
+
+
 # --- blur kernel ---------------------------------------------------------
 
 def test_blur_kernel_normalized_symmetric():
@@ -138,7 +145,7 @@ def test_blur_is_symmetric():
             np.testing.assert_array_equal(proc.matvec(t, x), proc.rmatvec(t, x))
         m = proc.as_matrix(t)
         np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-15)
-        g = proc.gram(t)
+        g = _gram(proc, t)
         np.testing.assert_array_equal(g, g.T)
 
 
@@ -228,10 +235,14 @@ def test_inpaint_process_mask_bit_identical_to_inpaint_mask(shape, center):
 
 
 def test_inpaint_sharpness_checked_at_construction():
-    with pytest.raises(ValueError):
-        GaussianMaskInpaintProcess(SHAPE, k=0)
-    with pytest.raises(ValueError, match="^sharpness exponent must be >= 1$"):
-        inpaint_mask(1.0, 0, SHAPE)
+    # a fractional exponent is refused, not truncated to the integer below it
+    for k in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^sharpness exponent must be an integer >= 1$"):
+            GaussianMaskInpaintProcess(SHAPE, k=k)
+    for k in (0, 2.5):
+        with pytest.raises(ValueError, match="^sharpness exponent must be an integer >= 1$"):
+            inpaint_mask(1.0, k, SHAPE)
+    assert GaussianMaskInpaintProcess(SHAPE, k=3.0).k == 3
 
 
 def _memory_growth_over_severities(proc):
@@ -331,7 +342,7 @@ def test_matvec_rmatvec_match_dense_matrix(shape, family, t):
     x = RandomSource(12).split(0).normal(proc.n)
     np.testing.assert_allclose(proc.matvec(t, x), m @ x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(proc.rmatvec(t, x), m.T @ x, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(proc.gram(t), m.T @ m, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_gram(proc, t), m.T @ m, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
@@ -360,9 +371,17 @@ def test_diagonal_gram_equals_identity_probe(t):
     # once formed it, gives the same bits as the closed form of either diagonal family
     inpaint = GaussianMaskInpaintProcess((5, 7))
     m = inpaint.eigenvalues(t)[:, None]
-    assert (inpaint.gram(t) == m * (m * np.eye(35))).all()
+    assert (_gram(inpaint, t) == m * (m * np.eye(35))).all()
     blend = BlendingProcess(_rand_signal(7, (5, 7)))
-    assert (blend.gram(t) == (1.0 - t) * ((1.0 - t) * np.eye(35))).all()
+    assert (_gram(blend, t) == (1.0 - t) * ((1.0 - t) * np.eye(35))).all()
+    # added into a full array, only the diagonal changes: every other entry keeps its bits
+    base = RandomSource(15).normal((35, 35))
+    off = ~np.eye(35, dtype=bool)
+    for proc in (inpaint, blend):
+        out = np.array(base, order="F")
+        proc.add_gram(t, out)
+        assert out[off].tobytes() == base[off].tobytes()
+        assert (np.diag(out) == np.diag(base) + np.square(proc.eigenvalues(t))).all()
 
 
 # --- spectral norm / temporal estimates ----------------------------------

@@ -201,7 +201,8 @@ def test_vjp_linearity(setup):
 def _full_storage_inverse(prior, proc, noise, t):
     """H_t^{-1} by dpotrf and dpotri in full storage, lower triangle valid."""
     s = noise.sigma(t)
-    h = s * s * lapack.dpotri(prior.cholesky_factor, lower=1)[0] + proc.gram(t)
+    h = s * s * lapack.dpotri(prior.cholesky_factor, lower=1)[0]
+    proc.add_gram(t, h)
     return lapack.dpotri(lapack.dpotrf(h, lower=1)[0], lower=1)[0]
 
 
@@ -256,15 +257,35 @@ def test_oracle_cache_cap_holds_a_32x32_sweep_or_one_64x64_entry():
     assert at_64 <= _INVERSE_CACHE_BYTES < 2 * at_64
 
 
+@pytest.mark.parametrize("family", [1, 2], ids=["inpaint", "blending"])
+def test_cold_severity_allocates_no_dense_array_once_the_prior_holds_its_precision(family):
+    # Sigma^{-1} is the prior's and the work buffer the oracle's, and a pixel-diagonal
+    # M^T M goes onto that buffer's diagonal: a second cold severity allocates its packed
+    # entry (4 MiB at 32x32) and O(n), with no dense n x n Gram (8 MiB)
+    prior, procs = _families((32, 32))
+    oracle = OracleDenoiser(prior, procs[family], NoiseSchedule())
+    oracle.estimate(prior.mean, 0.3)
+    n = prior.n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        oracle.estimate(prior.mean, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.6 in oracle._inverse_cache
+    assert peak - before <= 4 * n * (n + 1) + 64 * 8 * n
+
+
 def test_oracle_cache_keeps_its_oldest_severities_within_the_cap():
     # 25 severities of 4 MiB at 32x32 against an 84 MiB cap: the cache holds 20, evicting
     # the newest, so a rerun finds the first 19 warm and factors the last 6 again
     class CountingInpaint(GaussianMaskInpaintProcess):
         grams = 0
 
-        def gram(self, t):
+        def add_gram(self, t, out):
             CountingInpaint.grams += 1  # one per factorization
-            return super().gram(t)
+            super().add_gram(t, out)
 
     shape = (32, 32)
     prior = squared_exponential_prior(shape)
@@ -281,7 +302,9 @@ def test_oracle_cache_keeps_its_oldest_severities_within_the_cap():
     finally:
         tracemalloc.stop()
     assert len(first.steps) == 25 and CountingInpaint.grams == 25
-    assert peak <= 104 * 2**20  # unbounded: 25 packed entries (100 MiB) beside three 8 MiB arrays
+    # 20 packed entries (80 MiB) beside the prior's 8 MiB Sigma^{-1}, formed on the first cold
+    # severity; the oracle's work buffer predates the trace, and no dense Gram is formed
+    assert peak <= 89 * 2**20  # 88.6 MiB measured; unbounded, 25 entries would need 100 MiB
     CountingInpaint.grams = 0
     second = dirac_sample(oracle, proc, noise, y_tilde, config)
     assert CountingInpaint.grams == 6
@@ -554,7 +577,7 @@ def test_model_rejects_bad_magic(tmp_path):
 
 def test_hot_paths_never_build_dense_matrix(monkeypatch, tmp_path):
     # a guided blur trajectory, affine training and every verify suite must run on
-    # matvec/rmatvec, gram and the eigenvalues alone
+    # matvec/rmatvec, add_gram and the eigenvalues alone
     def refuse(self, t):
         raise AssertionError("dense as_matrix called in a hot path")
 

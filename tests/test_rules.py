@@ -129,3 +129,40 @@ def test_knot_count_outside_zero_to_n_minus_two_is_refused(m, n_candidates):
 def test_bad_shape_is_refused(text):
     with pytest.raises(cli.ConfigError, match=rf"^bad shape {re.escape(repr(text))}$"):
         cli._parse_shape(text)
+
+
+def _numpy_algebra(node):
+    """(line, form) of each `@`, np.dot, np.matmul and np.linalg.* under an ast node."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult):
+            found.append((sub.lineno, "@"))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            name = f"{sub.value.id}.{sub.attr}"
+            if name in ("np.dot", "np.matmul", "np.linalg", "numpy.dot", "numpy.matmul",
+                        "numpy.linalg"):
+                found.append((sub.lineno, name))
+    return sorted(found)
+
+
+def _definition(module, *path):
+    """The class or function definition at a dotted path in a package module."""
+    node = ast.parse((SRC / module).read_text())
+    for name in path:
+        node = next(sub for sub in node.body
+                    if isinstance(sub, (ast.ClassDef, ast.FunctionDef)) and sub.name == name)
+    return node
+
+
+def test_oracle_dense_algebra_runs_on_scipy_blas_alone():
+    # numpy bundles a second OpenBLAS: a numpy product on the oracle path wakes its thread
+    # pool to spin against scipy's, so the oracle and the prior's Sigma^{-1} use scipy only
+    for module, path in (("denoise.py", ("OracleDenoiser",)),
+                         ("core.py", ("GaussianPrior", "precision"))):
+        assert not _numpy_algebra(_definition(module, *path)), (module, path)
+
+
+def test_numpy_algebra_scan_sees_each_form():
+    code = "a @ b\na @= b\nnp.dot(a, b)\nnp.matmul(a, b)\nnp.linalg.solve(a, b)\nx.T\n"
+    assert _numpy_algebra(ast.parse(code)) == [
+        (1, "@"), (2, "@"), (3, "np.dot"), (4, "np.matmul"), (5, "np.linalg")]

@@ -268,7 +268,7 @@ def test_operator_products_per_step(setup, guidance, per_step):
 
     den = Counting(prior, proc, noise)
     cfg = SamplerConfig(delta_t=0.25, eta=0.2, guidance_mode=guidance, seed=7)
-    # the cold run factors every severity from the process's gram, with no operator product
+    # the cold run factors every severity from the process's add_gram, with no operator product
     for _ in ("cold", "warm"):
         proc.calls = den.estimates = den.vjps = 0
         traj = dirac_sample(den, proc, noise, y_tilde, cfg, truth=x0, prior=prior)

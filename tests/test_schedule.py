@@ -398,6 +398,13 @@ def test_text_loaders_name_malformed_lines(tmp_path):
     path.write_text("inpaint rmse 2\n0 1\n0 1\n0 x\n1 0\n")
     with pytest.raises(ValueError, match=r"bad.txt: could not convert string to float: 'x'"):
         load_distance_table(path)
+    # NaN passes every comparison, so the symmetry, diagonal and sign tests alone let it in
+    for rows in ("0 1\n0 1\n0 nan\nnan 0\n", "0 nan\n0 1\n0 1\n1 0\n",
+                 "0 1\n0 inf\n0 1\n1 0\n"):
+        path.write_text("inpaint rmse 2\n" + rows)
+        with pytest.raises(ValueError, match=r"^\S*bad.txt: distance table candidates, "
+                                             r"distances and params must be finite$"):
+            load_distance_table(path)
 
 
 def test_distance_table_roundtrip(tmp_path):

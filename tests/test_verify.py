@@ -293,8 +293,8 @@ def test_robustness_sweep_operator(setup):
     den = OracleDenoiser(prior, proc, noise)
     cfg = SamplerConfig(delta_t=0.25, output_mode="posterior_mean", seed=2)
 
-    def factory(mult):
-        return GaussianMaskInpaintProcess(SHAPE, k=4 * mult)
+    def factory(mult):  # sharpness exponents 4 and 5: k is an integer
+        return GaussianMaskInpaintProcess(SHAPE, k=int(4 * mult))
 
     report = robustness_sweep(den, proc, noise, prior, cfg, kind="operator",
                               grid=(1.0, 1.4), perturbed_process_factory=factory)
