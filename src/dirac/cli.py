@@ -296,8 +296,7 @@ def cmd_schedule(config, out_dir) -> int:
     # Knot k of m + 2 at severity k/(m+1): equal steps in t then cover equal distances.
     equal = SeveritySchedule(tuple((k / (c["m"] + 1), w) for k, (_, w) in enumerate(sched.knots)))
     path = os.path.join(out_dir, "schedule.txt")
-    save_schedule(equal, path, process_name=table.process_name,
-                  metric_name=table.metric_name, n_candidates=c["n_candidates"])
+    save_schedule(equal, path, process_name=table.process_name, n_candidates=c["n_candidates"])
     for i, d in enumerate(sched.max_edge_trace or ()):
         print(f"{i} interior knots: max edge distance {d:.9g}")
     if sched.warning:

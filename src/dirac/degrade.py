@@ -28,7 +28,6 @@ __all__ = [
     "GaussianMaskInpaintProcess",
     "BlendingProcess",
     "blur_kernel",
-    "inpaint_mask",
     "lipschitz_t_estimate",
 ]
 
@@ -246,10 +245,18 @@ class GaussianBlurProcess(DegradationProcess):
         return self._blur(_blur_variance(self.param_of(t)), x)
 
     def add_gram(self, t: float, out: np.ndarray) -> None:
-        """Add the Kronecker product of C(2v) per axis: variances add, so C(v)^2 = C(2v)."""
+        """Add C_h(2v) kron C_w(2v): variances add, so C(v)^2 = C(2v).
+
+        Block row r of the product is C_h[r, c] C_w over the columns c, a w x n slab, so no
+        n x n temporary is formed. The Gram is exactly symmetric, so each slab goes into out's
+        transpose, which reads a Fortran-order out in order. A 1-D signal has C_w = [[1]].
+        """
         v = 2.0 * _blur_variance(self.param_of(t))
-        gram = functools.reduce(np.kron, [self._axis_blur(v, n) for n in self._shape])
-        out += gram.T  # exactly symmetric: the transpose reads a Fortran-order out in order
+        c_h = self._axis_blur(v, self._shape[0])
+        c_w = self._axis_blur(v, self._shape[1]) if len(self._shape) == 2 else np.ones((1, 1))
+        wd, rows = len(c_w), out.T
+        for r, c_hr in enumerate(c_h):
+            rows[r * wd:(r + 1) * wd] += (c_w[:, None, :] * c_hr[:, None]).reshape(wd, -1)
 
     def _transition(self, t_lo: float, t_hi: float, y: Signal) -> Signal:
         dv = _blur_variance(self.param_of(t_hi)) - _blur_variance(self.param_of(t_lo))
@@ -265,44 +272,27 @@ class GaussianBlurProcess(DegradationProcess):
         return functools.reduce(np.kron, [expm(v * g) for g in generators])
 
 
-def _bump_d2(shape: tuple[int, ...], center) -> np.ndarray:
-    """Flat squared distance of each pixel to the bump centre (default: the middle)."""
-    if center is None:
-        center = tuple(s // 2 for s in shape)
-    grids = np.meshgrid(*(np.arange(s) for s in shape), indexing="ij")
-    d2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-    return d2.astype(np.float64).ravel()
-
-
 def _mask_values(w: float, k: int, d2: np.ndarray) -> np.ndarray:
-    """Flat mask (1 - f/max f)^k for f = exp(-d2 / 2w^2); all ones at w = 0.
+    """Flat mask (1 - f)^k for f = exp(-d2 / 2w^2); all ones at w = 0.
 
-    f is taken from d2 - min d2, so max f is 1 even where the bump underflows.
+    d2 is each pixel's squared distance to the middle pixel, where d2 = 0 and f = 1: the mask
+    is 0 there for any w > 0.
     """
     if w == 0.0:
         return np.ones(d2.size)
-    f = np.exp(-(d2 - d2.min()) / (2.0 * w * w))
-    return (1.0 - f) ** k
-
-
-def inpaint_mask(w: float, k: int, shape: tuple[int, ...], center=None) -> Signal:
-    """Smooth inpainting mask (1 - f/max f)^k from an isotropic Gaussian bump f.
-
-    w = 0 returns all ones (identity mask); the mask is 0 at the bump's peak
-    for any w > 0 and entrywise non-increasing in w. It is the mask of the
-    inpainting process whose width grows linearly to w, at severity 1.
-    """
-    proc = GaussianMaskInpaintProcess(shape, linear_schedule(0.0, w), k, center=center)
-    return Signal(proc.eigenvalues(1.0), proc.shape)
+    return (1.0 - np.exp(-d2 / (2.0 * w * w))) ** k
 
 
 class GaussianMaskInpaintProcess(DegradationProcess):
     """Diagonal masking with a smooth Gaussian-bump mask growing with severity.
 
-    M_0 is the identity (w(0)=0) and transitions divide masks entrywise, so composition is exact
-    up to rounding; this is the designated process for exactness-sensitive checks. Each mask is
-    recomputed when needed from the pixels' squared distances to the bump centre, computed once,
-    so the process keeps no per-severity state. The sharpness exponent k is an integer >= 1.
+    The bump sits on the middle pixel (index s // 2 on each axis of size s); the mask at width
+    w is (1 - f)^k for the bump f = exp(-d^2 / 2w^2), 0 at the middle for any w > 0 and
+    entrywise non-increasing in w. M_0 is the identity (w(0)=0) and transitions divide masks
+    entrywise, so composition is exact up to rounding; this is the designated process for
+    exactness-sensitive checks. Each mask is recomputed when needed from the pixels' squared
+    distances to the middle, computed once, so the process keeps no per-severity state. The
+    sharpness exponent k is an integer >= 1.
     """
 
     def __init__(
@@ -311,7 +301,6 @@ class GaussianMaskInpaintProcess(DegradationProcess):
         schedule: SeveritySchedule | None = None,
         k: int = 4,
         w_final: float | None = None,
-        center=None,
     ):
         self._shape = tuple(int(s) for s in shape)
         if w_final is None:
@@ -324,7 +313,8 @@ class GaussianMaskInpaintProcess(DegradationProcess):
             raise ValueError("sharpness exponent must be an integer >= 1")
         self.schedule = schedule
         self.k = int(k)
-        self._d2 = _bump_d2(self._shape, center)
+        squares = np.ix_(*((np.arange(s) - s // 2) ** 2 for s in self._shape))
+        self._d2 = sum(squares).astype(np.float64).ravel()
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .core import GaussianPrior, RandomSource, Signal, check_length, prior_sample, read_binary
+from .core import (GaussianPrior, RandomSource, Signal, check_length, prior_sample, read_binary,
+                   with_path)
 from .degrade import DegradationProcess
 from .schedule import check_severity
 from .sdp import NoiseSchedule, sdp_sample
@@ -47,14 +48,12 @@ _INVERSE_CACHE_BYTES = 84 * 2**20
 class Denoiser(ABC):
     """Produces clean-image estimates x0_hat = Phi(y_t, t)."""
 
-    supports_vjp: bool = False
-
     @abstractmethod
     def estimate(self, y: Signal, t: float) -> Signal:
         """Predict the clean signal from a degraded, noisy observation."""
 
     def vjp(self, y: Signal, t: float, v: Signal) -> Signal:
-        """J^T v for J = d Phi / d y; only when supports_vjp."""
+        """J^T v for J = d Phi / d y. The base raises: a denoiser without one samples unguided."""
         raise NotImplementedError(f"{type(self).__name__} does not support vjp")
 
 
@@ -80,8 +79,6 @@ class OracleDenoiser(Denoiser):
     naming t and sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: a numpy `@` here would
     wake numpy's own OpenBLAS pool to spin against scipy's.
     """
-
-    supports_vjp = True
 
     def __init__(self, prior: GaussianPrior, proc: DegradationProcess, noise: NoiseSchedule):
         self.prior = prior
@@ -122,8 +119,6 @@ class OracleDenoiser(Denoiser):
 class GroundTruthDenoiser(Denoiser):
     """Always returns the true clean signal; realizes idealized hypotheses."""
 
-    supports_vjp = True
-
     def __init__(self, truth: Signal):
         self.truth = truth
 
@@ -137,13 +132,14 @@ class GroundTruthDenoiser(Denoiser):
 class AffineDenoiser(Denoiser):
     """Trainable per-severity-bin affine map: Phi(y, t) = D_b y + c_b."""
 
-    supports_vjp = True
-
     def __init__(self, d: np.ndarray, c: np.ndarray):
         d = np.asarray(d, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
         if d.ndim != 3 or d.shape[1] != d.shape[2] or c.shape != d.shape[:2]:
             raise ValueError("expected D of shape (B, n, n) and c of shape (B, n)")
+        if 0 in d.shape:
+            raise ValueError(f"model has {d.shape[0]} bins of size {d.shape[1]}; "
+                             "both must be positive")
         self.d = d
         self.c = c
 
@@ -311,9 +307,7 @@ def save_model(model: AffineDenoiser, path) -> None:
 def load_model(path) -> AffineDenoiser:
     data = read_binary(path, _MODEL_MAGIC, _MODEL_VERSION, header=17)
     n_bins, n = struct.unpack_from("<II", data, 9)
-    if n_bins == 0 or n == 0:
-        raise ValueError(f"{path}: model has {n_bins} bins of size {n}; both must be positive")
     check_length(path, data, 17 + 8 * n_bins * (n * n + n))
     blocks = np.frombuffer(data, dtype="<f8", offset=17).reshape(n_bins, n * n + n)
-    return AffineDenoiser(blocks[:, : n * n].reshape(n_bins, n, n).copy(),
-                          blocks[:, n * n:].copy())
+    return with_path(path, AffineDenoiser, blocks[:, : n * n].reshape(n_bins, n, n).copy(),
+                     blocks[:, n * n:].copy())

@@ -180,14 +180,12 @@ def guidance_term(
     y_g = (sigma_tau^2 - sigma_t^2) * grad_y ||y_tilde - A_1(Phi(y,t))||^2,
     computed exactly through the denoiser's vector-Jacobian product; eta_t is
     eta/(2 sigma_1^2) (std_scaled) or eta/||residual|| (error_scaled, floored).
-    Refused for denoisers without vjp support. x_hat, when given, is taken as
-    den.estimate(y, t) instead of asking the denoiser again, and a_1 as
-    proc.apply(1, x_hat).
+    A denoiser without a vjp raises NotImplementedError here. x_hat, when given,
+    is taken as den.estimate(y, t) instead of asking the denoiser again, and a_1
+    as proc.apply(1, x_hat).
     """
     if mode not in ("std_scaled", "error_scaled"):
         raise ValueError(f"guidance mode must be scaled, got {mode!r}")
-    if not den.supports_vjp:
-        raise ValueError("guidance requires a denoiser with vjp support")
     if a_1 is None:
         a_1 = proc.apply(1.0, den.estimate(y, t) if x_hat is None else x_hat)
     resid = y_tilde.values - a_1.values

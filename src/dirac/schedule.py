@@ -15,7 +15,6 @@ __all__ = [
     "linear_schedule",
     "DistanceTable",
     "rmse_metric",
-    "pairwise_distance",
     "build_distance_table",
     "check_knot_count",
     "greedy_schedule",
@@ -24,8 +23,6 @@ __all__ = [
     "max_edge_distance",
     "save_schedule",
     "load_schedule",
-    "save_distance_table",
-    "load_distance_table",
 ]
 
 
@@ -81,7 +78,6 @@ class DistanceTable:
     candidates: np.ndarray  # N severities, uniform on [0,1]
     d: np.ndarray  # symmetric N x N
     params: np.ndarray  # operator parameter at each candidate
-    metric_name: str = "rmse"
     process_name: str = ""
 
     def __post_init__(self):
@@ -122,16 +118,8 @@ def _degraded(proc, ts, dataset) -> np.ndarray:
     return out
 
 
-def pairwise_distance(proc, t_i: float, t_j: float, dataset, metric=rmse_metric) -> float:
-    """Mean of metric over the dataset's degraded pairs: one row-contract call on two
-    stacked (S, n) blocks, the very expression of a build_distance_table entry."""
-    at_i, at_j = _degraded(proc, (t_i, t_j), dataset)
-    return float(np.mean(metric(at_i, at_j), axis=-1))
-
-
-def build_distance_table(
-    proc, dataset, n_candidates: int = 101, metric=rmse_metric, metric_name: str = "rmse"
-) -> DistanceTable:
+def build_distance_table(proc, dataset, n_candidates: int = 101,
+                         metric=rmse_metric) -> DistanceTable:
     """Dataset-averaged distances between N candidate severities uniform on [0,1]. Row i
     and its mirror are one row-contract metric call, the (S, n) block at candidate i against
     the (N-1-i, S, n) block after it, averaged over the S samples: N - 1 calls in all."""
@@ -141,7 +129,7 @@ def build_distance_table(
     for i in range(n_candidates - 1):
         d[i, i + 1:] = d[i + 1:, i] = np.mean(metric(degraded[i], degraded[i + 1:]), axis=-1)
     params = np.array([proc.param_of(t) for t in ts])
-    return DistanceTable(ts, d, params, metric_name=metric_name, process_name=type(proc).__name__)
+    return DistanceTable(ts, d, params, process_name=type(proc).__name__)
 
 
 def check_knot_count(m: int, n_candidates: int) -> None:
@@ -202,60 +190,36 @@ def uniform_schedule(table: DistanceTable, m: int) -> SeveritySchedule:
 
 
 def save_schedule(schedule: SeveritySchedule, path, process_name: str = "",
-                  metric_name: str = "rmse", n_candidates: int = 0) -> None:
-    """Plain-text table: header, then one `t w` pair per line (9 sig digits)."""
+                  n_candidates: int = 0) -> None:
+    """Plain-text table: header (process, metric, candidates, m), then one `t w` pair per line
+    (9 sig digits). The metric field reads rmse, the distance every command schedules on."""
     m = max(len(schedule.knots) - 2, 0)
     with open(path, "w") as f:
-        f.write(f"{process_name or 'process'} {metric_name} {n_candidates} {m}\n")
+        f.write(f"{process_name or 'process'} rmse {n_candidates} {m}\n")
         for t, w in schedule.knots:
             f.write(f"{t:.9g} {w:.9g}\n")
-
-
-def _read_text(path, header_fields: int) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header fields, then (line number, fields) of each further non-blank line."""
-    with open(path) as f:
-        text = f.read()
-    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    # Every writer ends the file with a newline: a file without one was cut short.
-    if (not text.endswith("\n") or not rows or len(rows[0][1]) != header_fields
-            or not rows[0][1][-1].isdigit()):
-        raise ValueError(f"{path}: truncated file or malformed header")
-    return rows[0][1], rows[1:]
-
-
-def _numbers(path, rows, count: int, width: int) -> np.ndarray:
-    """The rows as a (count, width) array; a short or malformed line names the path."""
-    if len(rows) != count:
-        raise ValueError(f"{path}: expected {count} lines after the header, got {len(rows)}")
-    for no, fields in rows:
-        if len(fields) != width:
-            raise ValueError(f"{path}: line {no}: expected {width} values, got {len(fields)}")
-    return with_path(path, lambda: np.array([[float(v) for v in fields] for _, fields in rows]))
 
 
 def load_schedule(path, process_name: str = "") -> SeveritySchedule:
     """The schedule in `path`; given `process_name`, refuse a file written for another process.
 
-    A file saved without a process name (header `process`) loads for any process.
+    A file saved without a process name (header `process`) loads for any process. A short or
+    malformed line names the path.
     """
-    header, rows = _read_text(path, 4)
+    with open(path) as f:
+        text = f.read()
+    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    # Every writer ends the file with a newline: a file without one was cut short.
+    header = rows[0][1] if rows else []
+    if not text.endswith("\n") or len(header) != 4 or not header[3].isdigit():
+        raise ValueError(f"{path}: truncated file or malformed header")
     if process_name and header[0] not in (process_name, "process"):
         raise ValueError(f"{path}: schedule written for {header[0]}, not {process_name}")
-    knots = tuple(map(tuple, _numbers(path, rows, int(header[3]) + 2, 2)))
-    return with_path(path, SeveritySchedule, knots)
-
-
-def save_distance_table(table: DistanceTable, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"{table.process_name or 'process'} {table.metric_name} {table.size}\n")
-        f.write(" ".join(f"{t:.9g}" for t in table.candidates) + "\n")
-        f.write(" ".join(f"{w:.9g}" for w in table.params) + "\n")
-        for row in table.d:
-            f.write(" ".join(f"{v:.9g}" for v in row) + "\n")
-
-
-def load_distance_table(path) -> DistanceTable:
-    (process_name, metric_name, size), rows = _read_text(path, 3)
-    values = _numbers(path, rows, int(size) + 2, int(size))
-    return with_path(path, DistanceTable, values[0], values[2:], values[1],
-                     metric_name=metric_name, process_name=process_name)
+    count, rows = int(header[3]) + 2, rows[1:]
+    if len(rows) != count:
+        raise ValueError(f"{path}: expected {count} lines after the header, got {len(rows)}")
+    for no, fields in rows:
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {no}: expected 2 values, got {len(fields)}")
+    # SeveritySchedule takes float() of each field: a malformed number names the path here
+    return with_path(path, SeveritySchedule, [fields for _, fields in rows])

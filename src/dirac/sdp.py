@@ -1,11 +1,10 @@
-"""Stochastic degradation process: noise schedule, forward sampling, scores."""
+"""Stochastic degradation process: noise schedule, forward sampling, marginal score."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.linalg
 
 from .core import GaussianPrior, RandomSource, Signal
@@ -15,7 +14,6 @@ from .schedule import check_severity
 __all__ = [
     "NoiseSchedule",
     "sdp_sample",
-    "conditional_score",
     "marginal_score",
 ]
 
@@ -61,20 +59,6 @@ def sdp_sample(
     if s == 0.0:
         return degraded
     return degraded.with_values(degraded.values + s * rng.normal(degraded.n))
-
-
-def conditional_score(
-    proc: DegradationProcess,
-    noise: NoiseSchedule,
-    y_t: Signal,
-    x0: Signal,
-    t: float,
-) -> Signal:
-    """Score of y_t given x0: (A_t(x0) - y_t) / sigma_t^2."""
-    s = noise.sigma(t)
-    if s == 0.0:
-        raise ValueError("conditional score undefined at sigma_t = 0")
-    return y_t.with_values((proc.apply(t, x0).values - y_t.values) / (s * s))
 
 
 def marginal_score(

@@ -1,5 +1,6 @@
 import functools
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -490,7 +491,8 @@ def _model_file(tmp_path, n_bins, shape):
 
 
 def test_model_file_without_bins_exits_2(tmp_path, capsys):
-    cfg, path = _model_file(tmp_path, 0, (2, 2))
+    cfg, path = _model_file(tmp_path, 2, (2, 2))
+    path.write_bytes(path.read_bytes()[:9] + struct.pack("<II", 0, 4))  # 0 bins of size 4
     assert run(["sample", "--config", cfg]) == cli.EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}") and "0 bins" in err[0], err

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -12,7 +13,6 @@ from dirac.degrade import (
     _IMPULSE_WIDTH,
     _blur_variance,
     blur_kernel,
-    inpaint_mask,
     lipschitz_t_estimate,
 )
 from dirac.schedule import linear_schedule
@@ -166,32 +166,28 @@ def test_blur_severity_range_checked():
 
 # --- inpainting ----------------------------------------------------------
 
+def _mask(w, k, shape):
+    """The inpainting mask of width w: the mask of a process growing to w, at severity 1."""
+    return GaussianMaskInpaintProcess(shape, k=k, w_final=w).eigenvalues(1.0)
+
+
 def test_inpaint_mask_identity_at_zero_width():
-    m = inpaint_mask(0.0, 4, SHAPE)
-    np.testing.assert_array_equal(m.values, 1.0)
+    np.testing.assert_array_equal(_mask(0.0, 4, SHAPE), 1.0)
 
 
 def test_inpaint_mask_range_and_center_zero():
-    m = inpaint_mask(2.0, 4, SHAPE).as_array()
+    m = _mask(2.0, 4, SHAPE).reshape(SHAPE)
     assert np.all(m >= 0.0) and np.all(m <= 1.0)
     assert m[6, 6] == 0.0  # bump peak is fully masked
 
 
 def test_inpaint_mask_matches_direct_formula():
     w, k = 1.7, 4
-    m = inpaint_mask(w, k, (7, 7)).as_array()
+    m = _mask(w, k, (7, 7)).reshape(7, 7)
     ii, jj = np.meshgrid(np.arange(7), np.arange(7), indexing="ij")
     f = np.exp(-(((ii - 3) ** 2 + (jj - 3) ** 2)) / (2 * w * w))
     direct = (1.0 - f / f.max()) ** k
     np.testing.assert_allclose(m, direct, rtol=1e-12)
-
-
-def test_inpaint_mask_finite_for_off_grid_centre():
-    # the bump underflows at every pixel at small widths; no 0/0
-    m = GaussianMaskInpaintProcess((6, 6), center=(2.5, 3.2)).eigenvalues(1 / 256)
-    assert np.all(np.isfinite(m))
-    assert np.all((m >= 0.0) & (m <= 1.0))
-    assert np.all(np.isfinite(inpaint_mask(1e-3, 4, (6, 6), (2.5, 3.2)).values))
 
 
 def test_inpaint_composition_exact():
@@ -224,14 +220,18 @@ def test_inpaint_requires_identity_start():
         GaussianMaskInpaintProcess(SHAPE, schedule=linear_schedule(0.5, 2.0))
 
 
-@pytest.mark.parametrize("shape,center", [((8, 8), None), ((16, 16), None), ((7,), None),
-                                          ((8, 8), (1, 6))])
-def test_inpaint_process_mask_bit_identical_to_inpaint_mask(shape, center):
-    proc = GaussianMaskInpaintProcess(shape, center=center)
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (7,)], ids=["8x8", "16x16", "7"])
+def test_inpaint_process_mask_bit_identical_to_its_formula(shape):
+    # (1 - exp(-d^2 / 2w^2))^k, d the distance to the middle pixel, at w = param_of(t)
+    proc = GaussianMaskInpaintProcess(shape)
+    grids = np.meshgrid(*(np.arange(s) for s in shape), indexing="ij")
+    d2 = sum((g - s // 2) ** 2 for g, s in zip(grids, shape)).astype(np.float64).ravel()
     for t in np.linspace(0.0, 1.0, 257):
-        expected = inpaint_mask(proc.param_of(t), proc.k, shape, center).values
+        w = proc.param_of(t)
+        expected = (1.0 - np.exp(-d2 / (2.0 * w * w))) ** proc.k if w else np.ones(proc.n)
         np.testing.assert_array_equal(proc.eigenvalues(t), expected)
         np.testing.assert_array_equal(np.diag(proc.as_matrix(t)), expected)
+        np.testing.assert_array_equal(_mask(w, proc.k, shape), expected)
 
 
 def test_inpaint_sharpness_checked_at_construction():
@@ -239,9 +239,6 @@ def test_inpaint_sharpness_checked_at_construction():
     for k in (0, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="^sharpness exponent must be an integer >= 1$"):
             GaussianMaskInpaintProcess(SHAPE, k=k)
-    for k in (0, 2.5):
-        with pytest.raises(ValueError, match="^sharpness exponent must be an integer >= 1$"):
-            inpaint_mask(1.0, k, SHAPE)
     assert GaussianMaskInpaintProcess(SHAPE, k=3.0).k == 3
 
 
@@ -383,6 +380,21 @@ def test_diagonal_gram_equals_identity_probe(t):
         assert out[off].tobytes() == base[off].tobytes()
         assert (np.diag(out) == np.diag(base) + np.square(proc.eigenvalues(t))).all()
 
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (6, 6), (7,)], ids=["5x7", "6x6", "7"])
+def test_blur_gram_adds_the_kronecker_product_bit_for_bit(shape):
+    # one block row at a time, each entry gets the one product C_h[a, c] C_w[b, d] that the
+    # dense Kronecker product forms, into a C- or Fortran-order out
+    proc = GaussianBlurProcess(shape)
+    base = RandomSource(16).normal((proc.n, proc.n))
+    for t in (0.0, 0.37, 1.0):
+        v = 2.0 * _blur_variance(proc.param_of(t))
+        kron = functools.reduce(np.kron, [proc._axis_blur(v, n) for n in shape])
+        for order in "CF":
+            out = np.array(base, order=order)
+            proc.add_gram(t, out)
+            assert (out == base + kron.T).all()
 
 # --- spectral norm / temporal estimates ----------------------------------
 

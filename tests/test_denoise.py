@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from dirac.denoise import (
     train_affine,
 )
 from dirac.sampler import SamplerConfig, dirac_sample
-from dirac.sdp import NoiseSchedule, conditional_score, marginal_score, sdp_sample
+from dirac.sdp import NoiseSchedule, marginal_score, sdp_sample
 
 SHAPE = (6, 6)
 
@@ -257,11 +259,12 @@ def test_oracle_cache_cap_holds_a_32x32_sweep_or_one_64x64_entry():
     assert at_64 <= _INVERSE_CACHE_BYTES < 2 * at_64
 
 
-@pytest.mark.parametrize("family", [1, 2], ids=["inpaint", "blending"])
+@pytest.mark.parametrize("family", [0, 1, 2], ids=["blur", "inpaint", "blending"])
 def test_cold_severity_allocates_no_dense_array_once_the_prior_holds_its_precision(family):
-    # Sigma^{-1} is the prior's and the work buffer the oracle's, and a pixel-diagonal
-    # M^T M goes onto that buffer's diagonal: a second cold severity allocates its packed
-    # entry (4 MiB at 32x32) and O(n), with no dense n x n Gram (8 MiB)
+    # Sigma^{-1} is the prior's and the work buffer the oracle's; a pixel-diagonal M^T M goes
+    # onto that buffer's diagonal, and blur's adds one 32 x n slab at a time: a second cold
+    # severity allocates its packed entry (4 MiB at 32x32) and O(n) per row, with no dense
+    # n x n Gram (8 MiB)
     prior, procs = _families((32, 32))
     oracle = OracleDenoiser(prior, procs[family], NoiseSchedule())
     oracle.estimate(prior.mean, 0.3)
@@ -326,7 +329,8 @@ def test_ground_truth_score_is_conditional(setup):
     y = sdp_sample(proc, noise, x0, t, RandomSource(1))
     den = GroundTruthDenoiser(x0)
     lhs = score_from_denoiser(den, proc, noise, y, t).values
-    rhs = conditional_score(proc, noise, y, x0, t).values
+    s = noise.sigma(t)
+    rhs = (proc.apply(t, x0).values - y.values) / (s * s)  # (A_t(x0) - y) / sigma_t^2
     np.testing.assert_array_equal(lhs, rhs)
 
 
@@ -566,6 +570,20 @@ def test_load_model_refuses_every_cut(tmp_path):
         cut.write_bytes(data[:size])
         with pytest.raises(ValueError, match=rf"cut.bin: expected .*\d+ bytes, got {size}$"):
             load_model(cut)
+
+
+@pytest.mark.parametrize("bins,n", [(0, 4), (2, 0)], ids=["no-bins", "size-0"])
+def test_affine_model_refuses_zero_bins_or_size(tmp_path, bins, n):
+    message = rf"model has {bins} bins of size {n}; both must be positive$"
+    with pytest.raises(ValueError, match="^" + message):
+        AffineDenoiser(np.zeros((bins, n, n)), np.zeros((bins, n)))
+    if bins == 0:  # initialized's bins are the caller's; its size is the prior's 2 x 2
+        with pytest.raises(ValueError, match="^" + message):
+            AffineDenoiser.initialized(squared_exponential_prior((2, 2)), n_bins=bins)
+    path = tmp_path / "model.bin"  # the header alone: zero bins, or bins of no values
+    path.write_bytes(denoise._MODEL_MAGIC + struct.pack("<BII", denoise._MODEL_VERSION, bins, n))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: " + message):
+        load_model(path)
 
 
 def test_model_rejects_bad_magic(tmp_path):

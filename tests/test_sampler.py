@@ -185,8 +185,14 @@ def test_guidance_requires_vjp(setup):
         def estimate(self, y, t):
             return y
 
-    with pytest.raises(ValueError):
+    # without a vjp a denoiser samples unguided, and a guided run fails at its first vjp
+    unguided = dirac_sample(NoVjp(), proc, noise, y_tilde, SamplerConfig(delta_t=0.25))
+    assert len(unguided.steps) == 4 and not unguided.aborted
+    with pytest.raises(NotImplementedError, match="^NoVjp does not support vjp$"):
         guidance_term(NoVjp(), proc, noise, 0.7, 0.1, y_tilde, y_tilde, "std_scaled", 0.5)
+    with pytest.raises(NotImplementedError, match="^NoVjp does not support vjp$"):
+        dirac_sample(NoVjp(), proc, noise, y_tilde,
+                     SamplerConfig(delta_t=0.25, eta=0.5, guidance_mode="std_scaled"))
 
 
 @pytest.mark.parametrize("guidance", ["none", "std_scaled", "error_scaled"])
@@ -310,8 +316,6 @@ def test_abort_on_non_finite(setup):
     _, proc, noise, x0, y_tilde = setup
 
     class Exploding(Denoiser):
-        supports_vjp = False
-
         def estimate(self, y, t):
             return y.with_values(np.full(y.n, np.inf))
 

@@ -13,12 +13,9 @@ from dirac.schedule import (
     build_distance_table,
     greedy_schedule,
     linear_schedule,
-    load_distance_table,
     load_schedule,
     max_edge_distance,
-    pairwise_distance,
     rmse_metric,
-    save_distance_table,
     save_schedule,
     uniform_schedule,
 )
@@ -100,25 +97,30 @@ def test_pairwise_distance_zero_for_equal_severities():
     proc = GaussianMaskInpaintProcess((8, 8))
     prior = squared_exponential_prior((8, 8))
     data = [prior_sample(prior, RandomSource(0).split(i)) for i in range(4)]
-    assert pairwise_distance(proc, 0.4, 0.4, data) == 0.0
+    table = build_distance_table(proc, data, n_candidates=11)
+    assert np.all(np.diag(table.d) == 0.0)
+    assert np.all(table.d[~np.eye(11, dtype=bool)] > 0.0)
 
 
 def test_pairwise_distance_constant_image_blur():
     proc = GaussianBlurProcess((8, 8))
     const = [Signal.from_array(np.full((8, 8), 0.7))]
-    assert pairwise_distance(proc, 0.1, 0.9, const) == pytest.approx(0.0, abs=1e-12)
+    table = build_distance_table(proc, const, n_candidates=11)
+    np.testing.assert_allclose(table.d, 0.0, atol=1e-12)
 
 
 def test_pairwise_distance_matches_brute_force():
     proc = GaussianMaskInpaintProcess((8, 8))
     prior = squared_exponential_prior((8, 8))
     data = [prior_sample(prior, RandomSource(1).split(i)) for i in range(64)]
-    got = pairwise_distance(proc, 0.2, 0.8, data)
-    brute = np.mean([
-        np.sqrt(np.mean((proc.apply(0.2, x).values - proc.apply(0.8, x).values) ** 2))
-        for x in data
-    ])
-    assert got == pytest.approx(brute, abs=1e-12)
+    table = build_distance_table(proc, data, n_candidates=11)
+    for i, j in ((2, 8), (0, 10), (5, 6)):
+        t_i, t_j = table.candidates[i], table.candidates[j]
+        brute = np.mean([
+            np.sqrt(np.mean((proc.apply(t_i, x).values - proc.apply(t_j, x).values) ** 2))
+            for x in data
+        ])
+        assert table.d[i, j] == table.d[j, i] == pytest.approx(brute, abs=1e-12)
 
 
 def test_build_distance_table_consistency():
@@ -128,8 +130,9 @@ def test_build_distance_table_consistency():
     table = build_distance_table(proc, data, n_candidates=11)
     assert table.size == 11
     i, j = 2, 7
-    expected = pairwise_distance(proc, table.candidates[i], table.candidates[j], data)
-    assert table.d[i, j] == expected  # the same expression, so bit-identical
+    at_i, at_j = (np.array([proc.apply(table.candidates[k], x).values for x in data])
+                  for k in (i, j))
+    assert table.d[i, j] == np.mean(rmse_metric(at_i, at_j))  # the same expression: same bits
     with pytest.raises(ValueError):
         build_distance_table(proc, [], n_candidates=5)
 
@@ -189,6 +192,17 @@ def test_distance_table_validation():
     bad = np.ones((3, 3))
     with pytest.raises(ValueError):
         DistanceTable(np.linspace(0, 1, 3), bad, np.zeros(3))  # nonzero diagonal
+
+
+@pytest.mark.parametrize("bad", [{"d": [[0.0, np.nan], [np.nan, 0.0]]},
+                                 {"candidates": [0.0, np.nan]}, {"params": [0.0, np.inf]}],
+                         ids=["nan-distance", "nan-candidate", "inf-param"])
+def test_distance_table_refuses_non_finite_entries(bad):
+    # NaN passes every comparison, so the symmetry, diagonal and sign tests alone let it in
+    finite = {"candidates": [0.0, 1.0], "d": [[0.0, 1.0], [1.0, 0.0]], "params": [0.0, 1.0]}
+    with pytest.raises(ValueError, match="^distance table candidates, distances and params "
+                                         "must be finite$"):
+        DistanceTable(**{**finite, **bad})
 
 
 # --- greedy ----------------------------------------------------------------
@@ -343,48 +357,15 @@ def test_schedule_file_roundtrip_property(tmp_path_factory, sched):
     assert load_schedule(path).knots == sched.knots
 
 
-@st.composite
-def _distance_tables(draw):
-    n = draw(st.integers(2, 6))
-    milli = st.integers(0, 10**6).map(lambda v: v / 1000)
-    upper = draw(st.lists(milli, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    d = np.zeros((n, n))
-    d[np.triu_indices(n, 1)] = upper
-    cand = draw(st.lists(milli, min_size=n, max_size=n))
-    params = draw(st.lists(milli, min_size=n, max_size=n))
-    name = draw(st.sampled_from(["GaussianBlurProcess", "GaussianMaskInpaintProcess"]))
-    return DistanceTable(cand, d + d.T, params, metric_name="rmse", process_name=name)
-
-
-@given(_distance_tables())
-def test_distance_table_roundtrip_property(tmp_path_factory, table):
-    path = tmp_path_factory.mktemp("table") / "table.txt"
-    save_distance_table(table, path)
-    back = load_distance_table(path)
-    for field in ("candidates", "d", "params"):
-        np.testing.assert_array_equal(getattr(back, field), getattr(table, field))
-    assert (back.metric_name, back.process_name) == (table.metric_name, table.process_name)
-
-
-def _every_cut_refused(tmp_path, data, load):
-    cut = tmp_path / "cut.txt"
+def test_schedule_file_every_cut_refused(tmp_path):
+    full, cut = tmp_path / "full.txt", tmp_path / "cut.txt"
+    save_schedule(SeveritySchedule(((0.0, 0.0), (0.31, 0.52), (1.0, 1.6))), full,
+                  process_name="inpaint", n_candidates=11)
+    data = full.read_bytes()
     for size in range(len(data)):
         cut.write_bytes(data[:size])
         with pytest.raises(ValueError, match="cut.txt"):
-            load(cut)
-
-
-def test_schedule_file_every_cut_refused(tmp_path):
-    full = tmp_path / "full.txt"
-    save_schedule(SeveritySchedule(((0.0, 0.0), (0.31, 0.52), (1.0, 1.6))), full,
-                  process_name="inpaint", n_candidates=11)
-    _every_cut_refused(tmp_path, full.read_bytes(), load_schedule)
-
-
-def test_distance_table_every_cut_refused(tmp_path):
-    full = tmp_path / "full.txt"
-    save_distance_table(_index_table(3), full)
-    _every_cut_refused(tmp_path, full.read_bytes(), load_distance_table)
+            load_schedule(cut)
 
 
 def test_text_loaders_name_malformed_lines(tmp_path):
@@ -395,23 +376,6 @@ def test_text_loaders_name_malformed_lines(tmp_path):
     path.write_text("inpaint rmse 11 0\n0 0\n1 nan\n")
     with pytest.raises(ValueError, match=r"^\S*bad.txt: schedule knots must be finite$"):
         load_schedule(path)
-    path.write_text("inpaint rmse 2\n0 1\n0 1\n0 x\n1 0\n")
+    path.write_text("inpaint rmse 11 0\n0 0\n1 x\n")
     with pytest.raises(ValueError, match=r"bad.txt: could not convert string to float: 'x'"):
-        load_distance_table(path)
-    # NaN passes every comparison, so the symmetry, diagonal and sign tests alone let it in
-    for rows in ("0 1\n0 1\n0 nan\nnan 0\n", "0 nan\n0 1\n0 1\n1 0\n",
-                 "0 1\n0 inf\n0 1\n1 0\n"):
-        path.write_text("inpaint rmse 2\n" + rows)
-        with pytest.raises(ValueError, match=r"^\S*bad.txt: distance table candidates, "
-                                             r"distances and params must be finite$"):
-            load_distance_table(path)
-
-
-def test_distance_table_roundtrip(tmp_path):
-    table = _index_table(6)
-    path = tmp_path / "table.txt"
-    save_distance_table(table, path)
-    back = load_distance_table(path)
-    # text format carries 9 significant digits
-    np.testing.assert_allclose(back.d, table.d, rtol=1e-8)
-    np.testing.assert_allclose(back.candidates, table.candidates, rtol=1e-8)
+        load_schedule(path)
