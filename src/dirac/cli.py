@@ -526,7 +526,7 @@ def cmd_verify(config, out_dir) -> int:
 
     Each suite is called as suite(config, prior, noise, procs, blur_oracle). pd-curve and
     robustness share the one blur oracle over the same 20 severities (Δt = 0.05): up to 32x32
-    its 84 MiB cache holds all 20, so robustness finds each H_t^{-1} cached. It lives for this call.
+    its 84 MiB cache holds all 20, so robustness finds each L_t cached. It lives for this call.
     """
     requested = _suite_names(config["verify"]["suites"]) or list(SUITES)
     prior = build_prior(config)

@@ -3,8 +3,8 @@
 The score network is parameterized through a clean-image predictor Phi:
 s(y, t) = (A_t(Phi(y, t)) - y) / sigma_t^2. For Gaussian priors with affine
 degradations the exact posterior mean is affine in y at each severity (the
-oracle solves it in information form, on scipy's BLAS alone), but its gain
-changes with t, so a per-severity-bin affine family can only approximate it.
+oracle solves it in information form with a Cholesky factor, on scipy's LAPACK
+alone), but its gain changes with t, so per-bin affine maps only approximate it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .core import (GaussianPrior, RandomSource, Signal, check_length, prior_sample, read_binary,
                    with_path)
@@ -40,9 +40,9 @@ __all__ = [
 _MODEL_MAGIC = b"DIRACMDL"
 _MODEL_VERSION = 1
 _EPS = np.finfo(float).eps
-# Bytes of packed H_t^{-1} the oracle keeps: the 20 severities of a Δt = 0.05 schedule at
-# 32×32 (80.1 MiB; 21 would need 84.1 MiB), or one 64×64 entry (64 MiB) alone.
-_INVERSE_CACHE_BYTES = 84 * 2**20
+# Bytes of packed Cholesky factors the oracle keeps: the 20 severities of a Δt = 0.05 schedule
+# at 32×32 (80.1 MiB; 21 would need 84.1 MiB), or one 64×64 entry (64 MiB) alone.
+_FACTOR_CACHE_BYTES = 84 * 2**20
 
 
 class Denoiser(ABC):
@@ -66,34 +66,34 @@ class OracleDenoiser(Denoiser):
     the prior's `precision`, shared by every oracle on that prior. The oracle's one n x n array
     is its Fortran-order work buffer (8 MiB at 32x32, allocated at construction): a cold
     severity writes sigma_t^2 Sigma^{-1} there, the process's `add_gram` adds M^T M, and LAPACK
-    factors and inverts H_t in place, so inpainting and blending allocate no other n x n array.
-    Each severity caches the lower triangle of H_t^{-1} in LAPACK's packed storage (n(n + 1)/2
-    doubles, applied by `dspmv`: 4 MiB at 32x32), up to _INVERSE_CACHE_BYTES (84 MiB) in all: a
-    trajectory visits each severity once, so only sweeps reuse entries. A new severity that
-    would overflow the cap evicts the most recently added entry and is itself kept, so estimate
-    and vjp at one t share a factorization. Under a sweep's cyclic traffic this keeps the oldest
-    entries warm, where evicting the oldest would miss on every severity once they outnumber the
-    cap; a severity factored again gives the same bits. At sigma_t = 0 the form stays exact
-    where M^T M is positive definite; a singular H_t (an operator that zeroes entries), or at
-    sigma_t = 0 one singular to working precision (blur at high severity), raises ValueError
-    naming t and sigma_t. All dense algebra runs in scipy's LAPACK/BLAS: a numpy `@` here would
-    wake numpy's own OpenBLAS pool to spin against scipy's.
+    factors H_t = L_t L_t^T in place, so inpainting and blending allocate no other n x n array.
+    Each severity caches L_t in LAPACK's packed storage (n(n + 1)/2 doubles, 4 MiB at 32x32) and
+    applies H_t^{-1} by one `dpptrs` solve, never forming H_t^{-1}; the cache holds up to
+    _FACTOR_CACHE_BYTES (84 MiB): a trajectory visits each severity once, so only sweeps reuse
+    entries. A new severity that would overflow the cap evicts the most recently added entry and
+    is itself kept, so estimate and vjp at one t share a factorization. Under a sweep's cyclic
+    traffic this keeps the oldest entries warm, where evicting the oldest would miss on every
+    severity once they outnumber the cap; a severity factored again gives the same bits. At
+    sigma_t = 0 the form stays exact where M^T M is positive definite; a singular H_t (an
+    operator that zeroes entries), or at sigma_t = 0 one singular to working precision (blur at
+    high severity), raises ValueError naming t and sigma_t. All dense algebra runs in scipy's
+    LAPACK/BLAS: a numpy `@` here would wake numpy's own OpenBLAS pool to spin against scipy's.
     """
 
     def __init__(self, prior: GaussianPrior, proc: DegradationProcess, noise: NoiseSchedule):
         self.prior = prior
         self.proc = proc
         self.noise = noise
-        self._work = np.empty((prior.n, prior.n), order="F")  # H_t, its factor, its inverse
-        self._inverse_cache: dict[float, np.ndarray] = {}
+        self._work = np.empty((prior.n, prior.n), order="F")  # H_t, then its factor
+        self._factors: dict[float, np.ndarray] = {}
 
     def _solve(self, t: float, x: np.ndarray) -> np.ndarray:
         """H_t^{-1} x, factoring H_t on the first call at t."""
         n = self.prior.n
-        cache = self._inverse_cache
+        cache = self._factors
         if t not in cache:
-            entry = 4 * n * (n + 1)  # bytes of one packed H_t^{-1}
-            while cache and (len(cache) + 1) * entry > _INVERSE_CACHE_BYTES:
+            entry = 4 * n * (n + 1)  # bytes of one packed L_t
+            while cache and (len(cache) + 1) * entry > _FACTOR_CACHE_BYTES:
                 cache.popitem()  # the newest entry
             s = self.noise.sigma(t)
             h = np.multiply(s * s, self.prior.precision, out=self._work)
@@ -104,9 +104,8 @@ class OracleDenoiser(Denoiser):
             # precision (reciprocal condition number below machine epsilon), as xGESVX does
             if info or (s == 0.0 and lapack.dpocon(chol, anorm, uplo="L")[0] < _EPS):
                 raise ValueError(f"posterior not positive definite at t={t:.6g}, sigma_t={s:.6g}")
-            inverse = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
-            cache[t] = lapack.dtrttp(inverse, uplo="L")[0]
-        return blas.dspmv(n, 1.0, cache[t], x, lower=1)
+            cache[t] = lapack.dtrttp(chol, uplo="L")[0]
+        return lapack.dpptrs(n, cache[t], x, lower=1)[0]
 
     def estimate(self, y: Signal, t: float) -> Signal:
         resid = y.values - self.proc.apply(t, self.prior.mean).values

@@ -13,7 +13,7 @@ from dirac import cli, denoise
 from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import (
-    _INVERSE_CACHE_BYTES,
+    _FACTOR_CACHE_BYTES,
     AffineDenoiser,
     GroundTruthDenoiser,
     OracleDenoiser,
@@ -200,12 +200,17 @@ def test_vjp_linearity(setup):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def _full_storage_inverse(prior, proc, noise, t):
-    """H_t^{-1} by dpotrf and dpotri in full storage, lower triangle valid."""
+def _full_storage_factor(prior, proc, noise, t):
+    """The lower Cholesky factor L_t of H_t by dpotrf in full storage."""
     s = noise.sigma(t)
     h = s * s * lapack.dpotri(prior.cholesky_factor, lower=1)[0]
     proc.add_gram(t, h)
-    return lapack.dpotri(lapack.dpotrf(h, lower=1)[0], lower=1)[0]
+    return lapack.dpotrf(h, lower=1)[0]
+
+
+def _full_storage_inverse(prior, proc, noise, t):
+    """H_t^{-1} by dpotrf and dpotri in full storage, lower triangle valid."""
+    return lapack.dpotri(_full_storage_factor(prior, proc, noise, t), lower=1)[0]
 
 
 def _families(shape):
@@ -216,8 +221,8 @@ def _families(shape):
 
 
 @pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
-def test_oracle_caches_the_packed_lower_triangle_of_the_inverse(shape):
-    # each entry holds column j's rows j..n-1 of H_t^{-1}, one column after another
+def test_oracle_caches_the_packed_lower_triangle_of_the_factor(shape):
+    # each entry holds column j's rows j..n-1 of L_t, one column after another
     prior, procs = _families(shape)
     noise = NoiseSchedule()
     y = prior_sample(prior, RandomSource(11))
@@ -225,9 +230,53 @@ def test_oracle_caches_the_packed_lower_triangle_of_the_inverse(shape):
         oracle = OracleDenoiser(prior, proc, noise)
         for t in (0.0, 0.37, 1.0):
             oracle.estimate(y, t)
-            inverse = _full_storage_inverse(prior, proc, noise, t)
-            packed = np.concatenate([inverse[j:, j] for j in range(prior.n)])
-            assert np.array_equal(oracle._inverse_cache[t], packed)
+            factor = _full_storage_factor(prior, proc, noise, t)
+            packed = np.concatenate([factor[j:, j] for j in range(prior.n)])
+            assert np.array_equal(oracle._factors[t], packed)
+
+
+@pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
+def test_warm_oracle_gives_the_bits_of_a_cold_one(shape):
+    prior, procs = _families(shape)
+    noise = NoiseSchedule()
+    y, v = prior_sample(prior, RandomSource(11)), prior_sample(prior, RandomSource(12))
+    for proc in procs:
+        warm = OracleDenoiser(prior, proc, noise)
+        for t in (0.0, 0.37, 1.0):
+            warm.estimate(y, t)
+        for t in (0.0, 0.37, 1.0):
+            assert t in warm._factors
+            cold = OracleDenoiser(prior, proc, noise)
+            assert warm.estimate(y, t).values.tobytes() == cold.estimate(y, t).values.tobytes()
+            cold = OracleDenoiser(prior, proc, noise)
+            assert warm.vjp(y, t, v).values.tobytes() == cold.vjp(y, t, v).values.tobytes()
+
+
+@pytest.mark.parametrize("family", [0, 1, 2], ids=["blur", "inpaint", "blending"])
+def test_cold_severity_factors_once_and_inverts_nothing(family, monkeypatch):
+    # once the prior holds Sigma^{-1}, a cold severity costs one dpotrf; neither H_t^{-1}
+    # (dpotri) nor L_t^{-1} (dtrtri) is formed, and warm calls factor nothing
+    prior, procs = _families((6, 6))
+    oracle = OracleDenoiser(prior, procs[family], NoiseSchedule())
+    assert prior.precision is not None  # formed by dpotri on the prior's factor, and kept
+    calls = []
+
+    def counting(name):
+        real = getattr(lapack, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("dpotrf", "dpotri", "dtrtri"):
+        monkeypatch.setattr(lapack, name, counting(name))
+    y, v = prior_sample(prior, RandomSource(11)), prior_sample(prior, RandomSource(12))
+    for t in (0.2, 0.5, 0.8):
+        oracle.estimate(y, t)
+        oracle.vjp(y, t, v)
+        oracle.estimate(y, t)
+    assert calls == ["dpotrf"] * 3
 
 
 @pytest.mark.parametrize("shape", [(12,), (6, 6), (5, 9)], ids=["12", "6x6", "5x9"])
@@ -253,10 +302,10 @@ def test_oracle_cache_cap_holds_a_32x32_sweep_or_one_64x64_entry():
     prior, (proc, _, _) = _families((5, 9))
     oracle = OracleDenoiser(prior, proc, NoiseSchedule())
     oracle.estimate(prior.mean, 0.5)
-    assert oracle._inverse_cache[0.5].nbytes == 4 * 45 * 46
+    assert oracle._factors[0.5].nbytes == 4 * 45 * 46
     at_32, at_64 = 4 * 1024 * 1025, 4 * 4096 * 4097
-    assert 20 * at_32 <= _INVERSE_CACHE_BYTES < 21 * at_32
-    assert at_64 <= _INVERSE_CACHE_BYTES < 2 * at_64
+    assert 20 * at_32 <= _FACTOR_CACHE_BYTES < 21 * at_32
+    assert at_64 <= _FACTOR_CACHE_BYTES < 2 * at_64
 
 
 @pytest.mark.parametrize("family", [0, 1, 2], ids=["blur", "inpaint", "blending"])
@@ -276,7 +325,7 @@ def test_cold_severity_allocates_no_dense_array_once_the_prior_holds_its_precisi
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.6 in oracle._inverse_cache
+    assert 0.6 in oracle._factors
     assert peak - before <= 4 * n * (n + 1) + 64 * 8 * n
 
 

@@ -156,10 +156,19 @@ def test_guidance_zero_eta_contributes_nothing(setup):
         np.testing.assert_array_equal(got, 0.0)
 
 
-def test_guidance_matches_finite_difference_gradient(setup):
-    prior, proc, noise, x0, y_tilde = setup
+@pytest.mark.parametrize("kind, t", [("blur", 0.3), ("blur", 0.7), ("blur", 1.0),
+                                     ("inpaint", 0.3), ("inpaint", 0.7), ("inpaint", 1.0),
+                                     ("blending", 0.3), ("blending", 0.7)])
+def test_guidance_matches_finite_difference_gradient(setup, kind, t):
+    # blending stops at t = 0.7: its A_1 ignores x, so the objective is constant at every t
+    prior, _, noise, x0, _ = setup
+    if kind == "blending":
+        proc = BlendingProcess(prior_sample(prior, RandomSource(2)))
+    else:
+        proc = GaussianBlurProcess(SHAPE) if kind == "blur" else GaussianMaskInpaintProcess(SHAPE)
+    y_tilde = sdp_sample(proc, noise, x0, 1.0, RandomSource(1))
     den = OracleDenoiser(prior, proc, noise)
-    t, dt, eta = 0.7, 0.1, 0.3
+    dt, eta = 0.1, 0.3
     got = guidance_term(den, proc, noise, t, dt, y_tilde, y_tilde, "std_scaled", eta).values
     # numeric gradient of ||y_tilde - A_1(Phi(y,t))||^2 in y
     def objective(v):
