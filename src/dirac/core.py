@@ -81,8 +81,8 @@ class GaussianPrior:
     ``cholesky_factor``, ``log_det`` and ``entry_bound`` are computed, not passed.
     ``cholesky_factor`` is numpy's Cholesky of the lower triangle. ``precision`` is Sigma^{-1},
     formed on first use and kept: only its lower triangle is valid. ``entry_bound`` is the
-    radius B such that samples are treated as entrywise bounded for error-bound audits; samples
-    exceeding it are rejected by those audits rather than clipped.
+    entry box B, max |mean| + 4 max sd, that the Theorem 3.4 audit takes estimates to lie in
+    (through the ball of radius sqrt(n) B that holds the box); no sample is checked against it.
     """
 
     mean: Signal

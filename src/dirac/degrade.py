@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 from scipy.linalg import expm
 
-from .core import GaussianPrior, RandomSource, Signal, prior_sample
+from .core import Signal
 from .schedule import SeveritySchedule, check_severity, linear_schedule
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "GaussianMaskInpaintProcess",
     "BlendingProcess",
     "blur_kernel",
-    "lipschitz_t_estimate",
 ]
 
 # Kernel widths below this are treated as a unit impulse.
@@ -111,29 +110,6 @@ class DegradationProcess(ABC):
     def lipschitz_x(self, t: float) -> float:
         """Spectral norm of the linear part A(t): its largest |eigenvalue|."""
         return float(np.max(np.abs(self.eigenvalues(t))))
-
-
-def lipschitz_t_estimate(
-    proc: DegradationProcess,
-    t_lo: float,
-    t_hi: float,
-    prior: GaussianPrior,
-    probes: int,
-    rng: RandomSource,
-) -> float:
-    """Probe-based lower estimate of the temporal Lipschitz constant L_t.
-
-    Maximizes ||A_{t_lo} x - A_{t_hi} x|| / |t_hi - t_lo| over prior samples;
-    the true constant can only be larger.
-    """
-    if not t_lo < t_hi:
-        raise ValueError("requires t_lo < t_hi")
-    best = 0.0
-    for i in range(probes):
-        x = prior_sample(prior, rng.split(i))
-        diff = proc.apply(t_lo, x).values - proc.apply(t_hi, x).values
-        best = max(best, float(np.linalg.norm(diff)) / (t_hi - t_lo))
-    return best
 
 
 def blur_kernel(w: float, size: int) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "incremental_estimate",
     "denoising_term",
     "guidance_term",
+    "step_severities",
     "dirac_sample",
     "write_trajectory_csv",
 ]
@@ -44,6 +45,15 @@ _T_EPS = 1e-12
 def _snap(t: float) -> float:
     """Clear the float dust left by repeated delta_t subtraction near t=0."""
     return 0.0 if t < _T_EPS else t
+
+
+def step_severities(delta_t: float, t_stop: float = 0.0):
+    """Each reverse step's (t, tau): t = 1, 1 - dt, ... while t > t_stop, tau = max(t - dt, 0)."""
+    for i in itertools.count():
+        t = _snap(1.0 - delta_t * i)
+        if t <= t_stop + _T_EPS:
+            return
+        yield t, _snap(max(t - delta_t, 0.0))
 
 
 def _check_variant(variant: str, small_dt: float | None, delta_t: float) -> None:
@@ -223,10 +233,7 @@ def dirac_sample(
     rng = RandomSource(config.seed)
     traj = Trajectory()
     y = y_tilde
-    for i in itertools.count():
-        t = _snap(1.0 - config.delta_t * i)
-        if t <= config.t_stop + _T_EPS:
-            break
+    for t, tau in step_severities(config.delta_t, config.t_stop):
         x_hat = den.estimate(y, t)
         a_1 = proc.apply(1.0, x_hat)
         eps_dc = mse(y_tilde, a_1)
@@ -242,7 +249,6 @@ def dirac_sample(
                 prior_nll=prior_nll(prior, y) if prior is not None else math.nan,
             )
         )
-        tau = _snap(max(t - config.delta_t, 0.0))
         a_t = proc.apply(t, x_hat)
         y_r = incremental_estimate(
             den, proc, t, config.delta_t, y, config.increment_variant, config.small_dt,

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import GaussianPrior, RandomSource, Signal, mse, prior_nll, prior_sample, psnr
-from .degrade import DegradationProcess, lipschitz_t_estimate
+from .degrade import DegradationProcess
 # OracleDenoiser is unused here; perfbench's tracer patches verify.OracleDenoiser (--trace 1)
 from .denoise import Denoiser, GroundTruthDenoiser, OracleDenoiser  # noqa: F401
-from .sampler import SamplerConfig, dirac_sample
+from .sampler import SamplerConfig, dirac_sample, step_severities
 from .sdp import NoiseSchedule, sdp_sample
 
 __all__ = [
@@ -144,14 +144,32 @@ def verify_theorem_dc(
     return report
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
-    max_lhs: float = 0.0
-    rhs_values: list[float] = field(default_factory=list)
-    lhs_values: list[float] = field(default_factory=list)
-    violations: int = 0
-    skipped: int = 0  # samples exceeding the prior entry bound
-    passed: bool = False
+    """Theorem 3.4 at one error level, one entry per severity t the sampler visits."""
+
+    eps_err: float
+    ts: list[float]
+    lhs_values: list[float]  # sup ||R_hat - R*|| under the hypothesis and the ball
+    ball_bound: list[bool]  # the ball, not the hypothesis, bound the LHS
+    spatial: list[float]  # (L_x(t) + L_x(tau)) sqrt(n) B
+    temporal: list[float]  # 2 L_t dt
+
+    @property
+    def rhs_values(self) -> list[float]:
+        return [s + tm + 2.0 * self.eps_err for s, tm in zip(self.spatial, self.temporal)]
+
+    @property
+    def violations(self) -> int:
+        return sum(lhs > rhs for lhs, rhs in zip(self.lhs_values, self.rhs_values))
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
+
+    @property
+    def worst_ratio(self) -> float:
+        return max(lhs / rhs for lhs, rhs in zip(self.lhs_values, self.rhs_values))
 
 
 def verify_theorem_bounds(
@@ -159,55 +177,40 @@ def verify_theorem_bounds(
     prior: GaussianPrior,
     delta_t: float,
     eps_errs,
-    trials: int,
-    base_seed: int = 0,
-    lt_probes: int = 32,
 ) -> list[BoundReport]:
-    """Audit the incremental-reconstruction error bound on random instances.
+    """Audit the incremental-reconstruction error bound exactly, per mode.
 
-    Returns one report per error level in eps_errs, all over the same trials.
-    The audited estimate is Phi* + delta with delta = eps_err u / ||M_t u||
-    (u Gaussian, trial stream 3), so the score-error hypothesis holds with
-    equality. LHS is ||R_hat - R*||, R = A_tau(Phi) - A_t(Phi); both operators
-    are affine, so R_hat - R* = (M_tau - M_t) delta whatever Phi* is, and LHS
-    = eps_err ||(M_tau - M_t) u|| / ||M_t u||: no posterior is solved. RHS
-    combines the spatial Lipschitz constants, the probe-estimated temporal
-    constant (a lower estimate, so violations are flagged rather than
-    absorbed), and 2 eps_err. x0 is still drawn (stream 0) because the
-    theorem assumes it entrywise bounded: a trial whose x0 exceeds the prior
-    entry bound is skipped, and counts in every report.
+    Returns one report per error level in eps_errs, over each step (t, tau) of a sampler run
+    with this delta_t. R = A_tau(Phi) - A_t(Phi) is affine in Phi, so R_hat - R* = (M_tau -
+    M_t) delta for delta = Phi_hat - Phi*, whatever Phi* is: no posterior is solved. Both
+    estimates lie in the ball ||x|| <= sqrt(n) B around the origin (B the prior's entry
+    bound), so ||delta|| <= 2 sqrt(n) B. LHS is the smaller of two suprema over modes k with
+    eigenvalues a_k = lambda_k(t), b_k = lambda_k(tau): eps_err max |b_k - a_k|/|a_k| under
+    the hypothesis ||M_t delta|| <= eps_err (infinite where a mode with a_k = 0 has b_k != 0),
+    and 2 sqrt(n) B max |b_k - a_k| under the ball alone. RHS is (L_x(t) + L_x(tau)) sqrt(n) B
+    + 2 L_t dt + 2 eps_err, with L_t the exact local constant on the ball, (sqrt(n) B
+    max |b_k - a_k| + ||offset(t) - offset(tau)||)/(t - tau).
     """
-    rng = RandomSource(base_seed)
-    lt = lipschitz_t_estimate(proc, 0.0, 1.0, prior, lt_probes, rng.split(10_001))
-    reports = [BoundReport() for _ in eps_errs]
-    sqrt_n_b = math.sqrt(prior.n) * prior.entry_bound
-    for trial in range(trials):
-        sub = rng.split(trial)
-        x0 = prior_sample(prior, sub.split(0))
-        if np.max(np.abs(x0.values)) > prior.entry_bound:
-            for report in reports:
-                report.skipped += 1
-            continue
-        t = float(sub.split(1).uniform())
-        tau = max(t - delta_t, 0.0)
-        u_rng = sub.split(3)
-        u = u_rng.normal(prior.n)
-        m_t_u = proc.matvec(t, u)
-        while np.linalg.norm(m_t_u) < 1e-12:
-            u = u_rng.normal(prior.n)
-            m_t_u = proc.matvec(t, u)
-        unit = float(np.linalg.norm(proc.matvec(tau, u) - m_t_u) / np.linalg.norm(m_t_u))
-        rhs_base = (proc.lipschitz_x(t) + proc.lipschitz_x(tau)) * sqrt_n_b + 2.0 * lt * delta_t
-        for eps_err, report in zip(eps_errs, reports):
-            lhs = eps_err * unit
-            rhs = rhs_base + 2.0 * eps_err
-            report.lhs_values.append(lhs)
-            report.rhs_values.append(rhs)
-            report.max_lhs = max(report.max_lhs, lhs)
-            if lhs > rhs:
-                report.violations += 1
-    for report in reports:
-        report.passed = report.violations == 0
+    radius = math.sqrt(prior.n) * prior.entry_bound
+    ts, ratios, balls, spatial, temporal = [], [], [], [], []
+    for t, tau in step_severities(delta_t):
+        lam_t = proc.eigenvalues(t)
+        diff = np.abs(proc.eigenvalues(tau) - lam_t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x/0 is inf, 0/0 reads 0
+            ratios.append(float(np.max(np.where(diff == 0.0, 0.0, diff / np.abs(lam_t)))))
+        change = radius * float(np.max(diff))
+        shift = float(np.linalg.norm(proc.offset(t) - proc.offset(tau)))
+        ts.append(t)
+        balls.append(2.0 * change)
+        spatial.append((proc.lipschitz_x(t) + proc.lipschitz_x(tau)) * radius)
+        temporal.append(2.0 * (change + shift) / (t - tau) * delta_t)
+    reports = []
+    for eps_err in eps_errs:
+        # eps_err * inf would read 0 * inf = nan at eps_err = 0
+        hyps = [math.inf if r == math.inf else eps_err * r for r in ratios]
+        reports.append(BoundReport(
+            eps_err, ts, [min(h, b) for h, b in zip(hyps, balls)],
+            [b < h for h, b in zip(hyps, balls)], spatial, temporal))
     return reports
 
 

@@ -169,7 +169,7 @@ def test_criterion_05_error_bound_audit():
     total_violations = 0
     details = []
     for name, proc in _processes(shape, prior).items():
-        reports = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=levels, trials=200)
+        reports = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=levels)
         for eps_err, report in zip(levels, reports):
             total_violations += report.violations
             details.append(f"{name}/eps={eps_err}: {report.violations} violations")

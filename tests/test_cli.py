@@ -1,4 +1,5 @@
 import functools
+import io
 import os
 import struct
 import subprocess
@@ -522,6 +523,62 @@ def test_verify_unknown_suite(tmp_path):
     assert run(["verify", "--config", cfg]) == cli.EXIT_USAGE
 
 
+def test_verify_trials_key_is_refused(tmp_path, capsys):
+    # the bound audit is exact per mode and draws no trials, so the key is gone
+    cfg = write_config(tmp_path, "\n[verify]\ntrials = 50\n")
+    assert run(["verify", "--config", cfg]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: unknown key 'trials' in [verify]"]
+
+
+README_CONFIG = """
+[prior]
+shape = {shape}
+
+[process]
+kind = inpaint
+
+[sampler]
+delta_t = 0.05
+measurement_seed = 11
+
+[output]
+dir = {{out}}
+"""
+
+
+@pytest.mark.parametrize("shape", ["8x8", "16x16", "32x32"])
+def test_verify_thm34_passes_and_reruns_identically(tmp_path, shape):
+    cfg = write_config(tmp_path, "\n[verify]\nsuites = thm34\n",
+                       base=README_CONFIG.format(shape=shape))
+    reports = []
+    for _ in range(2):
+        assert run(["verify", "--config", cfg]) == cli.EXIT_OK
+        reports.append((tmp_path / "out" / "verify_report.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].startswith(b'suite,result,detail\nthm34,PASS,"0 bound violations; '
+                                 b"worst LHS/RHS blur ")
+
+
+def test_verify_prints_each_verdict_as_its_suite_ends(tmp_path, monkeypatch):
+    class Pipe(io.StringIO):
+        """Text that reaches a reader only once flushed, as through a pipe."""
+
+        flushed = ""
+
+        def flush(self):
+            self.flushed = self.getvalue()
+
+    pipe, seen = Pipe(), []
+    monkeypatch.setattr(sys, "stdout", pipe)
+    monkeypatch.setitem(cli.SUITES, "tweedie", lambda *args: (True, "first"))
+    monkeypatch.setitem(cli.SUITES, "thm34", lambda *args: seen.append(pipe.flushed)
+                        or (False, "second"))
+    cfg = write_config(tmp_path, "\n[verify]\nsuites = tweedie, thm34\n")
+    assert run(["verify", "--config", cfg]) == cli.EXIT_FAIL
+    assert seen == ["PASS tweedie: first\n"]
+    assert pipe.getvalue() == "PASS tweedie: first\nFAIL thm34: second\n1/2 suites passed\n"
+
+
 def test_verify_selected_suites_pass(tmp_path, capsys):
     cfg = write_config(tmp_path,
                        "\n[verify]\nsuites = tweedie, transitivity\nseeds = 16\n")
@@ -682,6 +739,18 @@ def test_sweep_operator_scales_the_configured_schedule(tmp_path, monkeypatch):
 def test_sweep_operator_requires_blur(tmp_path):
     cfg = write_config(tmp_path, "\n[sweep]\nkind = operator\n")
     assert run(["sweep", "--config", cfg]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_unusable_output_directory_exits_2(tmp_path, capsys, where):
+    # os.makedirs raised FileExistsError and NotADirectoryError through main
+    cfg = write_config(tmp_path, "\n[schedule]\nm = 0\nn_candidates = 11\ndataset_size = 4\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "a file" else blocker / "x"
+    assert run(["schedule", "--config", cfg, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot make output directory {out}: ")
 
 
 def test_out_flag_overrides_config(tmp_path):

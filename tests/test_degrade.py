@@ -13,7 +13,6 @@ from dirac.degrade import (
     _IMPULSE_WIDTH,
     _blur_variance,
     blur_kernel,
-    lipschitz_t_estimate,
 )
 from dirac.schedule import linear_schedule
 
@@ -272,15 +271,13 @@ def test_inpaint_lipschitz_is_max_mask():
 
 
 def test_inpaint_sharpness_raises_temporal_sensitivity():
-    # steeper masks change faster in t near the bump edge
-    prior = squared_exponential_prior(SHAPE)
-    estimates = []
+    # steeper masks change faster in t near the bump edge: the largest eigenvalue change,
+    # which sets the bound audit's L_t, grows with the sharpness exponent
+    changes = []
     for k in (1, 2, 4, 8):
         proc = GaussianMaskInpaintProcess(SHAPE, k=k)
-        estimates.append(
-            lipschitz_t_estimate(proc, 0.4, 0.6, prior, 8, RandomSource(9))
-        )
-    assert all(e > 0 for e in estimates)
+        changes.append(float(np.max(np.abs(proc.eigenvalues(0.6) - proc.eigenvalues(0.4)))))
+    assert 0 < changes[0] and all(a < b for a, b in zip(changes, changes[1:]))
 
 
 # --- blending ------------------------------------------------------------
@@ -396,24 +393,10 @@ def test_blur_gram_adds_the_kronecker_product_bit_for_bit(shape):
             proc.add_gram(t, out)
             assert (out == base + kron.T).all()
 
-# --- spectral norm / temporal estimates ----------------------------------
+# --- spectral norm -------------------------------------------------------
 
 def test_lipschitz_x_matches_svd():
     for proc in (GaussianBlurProcess((6, 6)), GaussianMaskInpaintProcess((6, 6))):
         for t in (0.3, 0.9):
             exact = np.linalg.norm(proc.as_matrix(t), 2)
             assert proc.lipschitz_x(t) == pytest.approx(exact, rel=1e-6)
-
-
-def test_lipschitz_t_estimate_is_lower_bound():
-    prior = squared_exponential_prior((6, 6))
-    proc = GaussianMaskInpaintProcess((6, 6))
-    rng = RandomSource(11)
-    est = lipschitz_t_estimate(proc, 0.2, 0.8, prior, 16, rng)
-    # every probe's ratio is a lower bound on the true constant; the estimate
-    # must dominate any single probe
-    x = prior_sample(prior, rng.split(0))
-    single = np.linalg.norm(proc.apply(0.2, x).values - proc.apply(0.8, x).values) / 0.6
-    assert est >= single - 1e-12
-    with pytest.raises(ValueError):
-        lipschitz_t_estimate(proc, 0.8, 0.2, prior, 4, rng)

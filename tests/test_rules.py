@@ -224,6 +224,45 @@ def test_every_public_name_is_reached_or_kept_for_a_reason():
     assert unreached == sorted(UNREACHED_BUT_KEPT), sorted(set(unreached) ^ set(UNREACHED_BUT_KEPT))
 
 
+# Config keys that no command reads, each kept for one reason.
+UNREAD_BUT_KEPT = {
+    ("prior", "seed"): "perfbench's verify-16 config sets it, and a config setting it loads",
+}
+
+
+class _ReadRecorder(dict):
+    """One config section that records each key a command reads from it."""
+
+    def __init__(self, section, values, reads):
+        super().__init__(values)
+        self.section, self.reads = section, reads
+
+    def __getitem__(self, key):
+        self.reads.add((self.section, key))
+        return super().__getitem__(key)
+
+
+def test_every_config_key_is_read_or_kept_for_a_reason(tmp_path, monkeypatch, capsys):
+    # a key nothing reads is accepted and silently ignored, so a config that sets it misleads
+    reads, real_load = set(), cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: {
+        section: _ReadRecorder(section, values, reads)
+        for section, values in real_load(path).items()})
+    for kind in ("blur", "inpaint", "blending"):
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(f"[prior]\nshape = 4x4\n[process]\nkind = {kind}\nw_max = 2\n"
+                        "[schedule]\nm = 1\nn_candidates = 5\ndataset_size = 2\n"
+                        "[training]\nsteps = 2\nbatch_size = 2\n"
+                        "[sampler]\ndelta_t = 0.25\n[verify]\nseeds = 2\npd_runs = 2\n"
+                        "[sweep]\nruns = 2\n"
+                        f"[output]\ndir = {tmp_path / kind}\n")
+        for command in ("schedule", "train", "sample", "verify", "sweep"):
+            assert cli.main([command, "--config", str(path)]) != cli.EXIT_USAGE, (kind, command)
+    capsys.readouterr()
+    unread = {(section, key) for section, keys in cli._SCHEMA.items() for key in keys} - reads
+    assert unread == set(UNREAD_BUT_KEPT)
+
+
 def test_reference_scan_skips_text_and_the_own_definition():
     code = 'def f():\n    """g, h.k and f in text."""\n    return f()\n\n\nx = g + h.k\n'
     assert _references(ast.parse(code), skip="f") == {"x", "g", "h", "k"}

@@ -14,6 +14,7 @@ from dirac.sampler import (
     dirac_sample,
     guidance_term,
     incremental_estimate,
+    step_severities,
     write_trajectory_csv,
 )
 from dirac.sdp import NoiseSchedule, sdp_sample
@@ -77,6 +78,7 @@ def test_severity_grid_stops_at_t_stop(delta_t, t_stop):
     proc = BlendingProcess(Signal.from_array(np.array([0.5, 0.1])))
     traj = dirac_sample(GroundTruthDenoiser(x0), proc, NoiseSchedule(), proc.apply(1.0, x0),
                         SamplerConfig(delta_t=delta_t, t_stop=t_stop))
+    assert [step.t for step in traj.steps] == [t for t, _ in step_severities(delta_t, t_stop)]
     assert all(step.t > t_stop for step in traj.steps)
     assert max(1.0 - delta_t * len(traj.steps), 0.0) <= t_stop + 1e-12  # the next t stops
     assert len(traj.steps) <= math.floor(1.0 / delta_t) + 1

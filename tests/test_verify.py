@@ -6,7 +6,7 @@ import pytest
 from dirac.core import RandomSource, Signal, mse, prior_sample, squared_exponential_prior
 from dirac.degrade import BlendingProcess, GaussianBlurProcess, GaussianMaskInpaintProcess
 from dirac.denoise import GroundTruthDenoiser, OracleDenoiser
-from dirac.sampler import SamplerConfig, dirac_sample
+from dirac.sampler import SamplerConfig, dirac_sample, step_severities
 from dirac.sdp import NoiseSchedule, sdp_sample
 from dirac.verify import (
     check_pair_consistency,
@@ -180,28 +180,34 @@ def test_theorem_dc_matches_severity_keyed_average(setup, kind, delta_t):
 
 
 def test_theorem_bound_exact_oracle_gives_zero_lhs(setup):
+    # at eps = 0 the hypothesis pins M_t delta = 0, so the LHS is 0 except where a mode dies
+    # at t: inpainting masks its centre pixel for every t > 0, so at t = dt (tau = 0) only
+    # the ball bounds delta there, and the ball term 2 sqrt(n) B |1 - 0| is reported
     prior, proc, _, _ = setup
-    report = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=(0.0,), trials=20)[0]
+    report = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=(0.0,))[0]
     assert report.passed
-    assert report.max_lhs == 0.0
+    assert report.ts == [t for t, _ in step_severities(0.1)]
+    assert report.ball_bound == [False] * 9 + [True]
+    assert report.lhs_values[:-1] == [0.0] * 9
+    assert report.lhs_values[-1] == pytest.approx(2 * math.sqrt(prior.n) * prior.entry_bound,
+                                                  rel=1e-15)
 
 
 def test_theorem_bound_perturbed_oracle(setup):
     prior, proc, _, _ = setup
-    report = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=(0.05,), trials=40)[0]
+    report = verify_theorem_bounds(proc, prior, delta_t=0.1, eps_errs=(0.05,))[0]
     assert report.passed
     assert report.violations == 0
-    assert report.max_lhs > 0.0
-    kept = len(report.lhs_values)
-    assert kept + report.skipped == 40
-    assert all(l <= r for l, r in zip(report.lhs_values, report.rhs_values))
+    assert len(report.lhs_values) == len(report.rhs_values) == 10
+    assert all(0.0 < l <= r for l, r in zip(report.lhs_values, report.rhs_values))
+    assert report.rhs_values == [s + tm + 0.1 for s, tm in zip(report.spatial, report.temporal)]
 
 
 def _bound_process(kind, prior):
     return {
-        "blur": lambda: GaussianBlurProcess(SHAPE),
-        "inpaint": lambda: GaussianMaskInpaintProcess(SHAPE),
-        "blending": lambda: BlendingProcess(prior_sample(prior, RandomSource(99))),
+        "blur": lambda: GaussianBlurProcess(prior.mean.shape),
+        "inpaint": lambda: GaussianMaskInpaintProcess(prior.mean.shape),
+        "blending": lambda: BlendingProcess(prior_sample(prior, RandomSource(1))),
     }[kind]()
 
 
@@ -211,9 +217,8 @@ def test_theorem_bounds_equal_separate_audits(setup, kind):
     prior = setup[0]
     proc = _bound_process(kind, prior)
     levels = (0.0, 0.05, 0.1)
-    joint = verify_theorem_bounds(proc, prior, 0.05, levels, trials=12, base_seed=4)
-    separate = [verify_theorem_bounds(proc, prior, 0.05, (eps,), trials=12, base_seed=4)[0]
-                for eps in levels]
+    joint = verify_theorem_bounds(proc, prior, 0.05, levels)
+    separate = [verify_theorem_bounds(proc, prior, 0.05, (eps,))[0] for eps in levels]
     assert joint == separate
     assert joint[0].lhs_values and joint[0].lhs_values != joint[1].lhs_values
 
@@ -225,44 +230,86 @@ def test_theorem_bounds_solve_no_posterior(setup, kind, monkeypatch):
 
     monkeypatch.setattr(OracleDenoiser, "estimate", refuse)
     prior = setup[0]
-    reports = verify_theorem_bounds(_bound_process(kind, prior), prior, 0.1, (0.0, 0.1), trials=8)
-    assert reports[1].max_lhs > 0.0
+    reports = verify_theorem_bounds(_bound_process(kind, prior), prior, 0.1, (0.0, 0.1))
+    assert max(reports[1].lhs_values) > 0.0
+
+
+# Worst LHS/RHS at eps = 0.1 on the verify suite's processes (blending's anchor from seed 1)
+WORST_RATIOS = {
+    ((8, 8), 0.1): {"blur": 0.086, "inpaint": 0.499, "blending": 0.588},
+    ((16, 16), 0.05): {"blur": 0.015, "inpaint": 0.500, "blending": 0.585},
+}
+
+
+@pytest.mark.parametrize("shape,delta_t", sorted(WORST_RATIOS))
+def test_theorem_bounds_worst_ratio_per_family(shape, delta_t):
+    prior = squared_exponential_prior(shape)
+    for kind, expected in WORST_RATIOS[shape, delta_t].items():
+        report = verify_theorem_bounds(_bound_process(kind, prior), prior, delta_t, (0.1,))[0]
+        assert report.worst_ratio == pytest.approx(expected, abs=5e-4), kind
+
+
+@pytest.mark.parametrize("shape,delta_t", sorted(WORST_RATIOS))
+def test_theorem_bound_without_its_temporal_term_fails_on_blending(shape, delta_t):
+    # negative control: at t = 1 blending's A_1 ignores x, so only the ball bounds delta,
+    # and without 2 L_t dt the RHS is (0 + dt) sqrt(n) B + 2 eps against an LHS of 2 dt sqrt(n) B
+    prior = squared_exponential_prior(shape)
+    report = verify_theorem_bounds(_bound_process("blending", prior), prior, delta_t, (0.1,))[0]
+    flagged = [(t, lhs / (s + 0.2)) for t, lhs, s
+               in zip(report.ts, report.lhs_values, report.spatial) if lhs > s + 0.2]
+    assert [t for t, _ in flagged] == [1.0]
+    assert flagged[0][1] == pytest.approx(1.89, abs=5e-3)
+
+
+@pytest.mark.parametrize("kind", ["blur", "inpaint", "blending"])
+def test_theorem_bound_of_two_eps_alone_fails(setup, kind):
+    # negative control: with no Lipschitz term the bound is violated on every family
+    prior = setup[0]
+    report = verify_theorem_bounds(_bound_process(kind, prior), prior, 0.1, (0.1,))[0]
+    assert report.passed
+    assert any(lhs > 0.2 for lhs in report.lhs_values)
 
 
 @pytest.mark.parametrize("kind", ["blur", "inpaint", "blending"])
 def test_theorem_bounds_lhs_matches_perturbed_oracle(setup, kind):
-    # LHS = ||R_hat - R*|| with Phi* the posterior mean and Phi_hat = Phi* + eps u / ||M_t u||,
-    # rebuilt from each trial's streams: 0 (x0, entry-bound skip), 1 (t), 2 (y), 3 (u)
+    # Wherever the binding maximiser delta also meets the other constraint, it is attained:
+    # Phi_hat = Phi* + delta, Phi* a posterior mean, gives ||R_hat - R*|| = LHS. delta is the
+    # mode of the largest ratio (hypothesis) or difference (ball), scaled to the constraint.
     prior, _, noise, _ = setup
     proc = _bound_process(kind, prior)
-    delta_t, levels, trials = 0.1, (0.0, 0.05, 0.1), 30
-    reports = verify_theorem_bounds(proc, prior, delta_t, levels, trials, base_seed=2)
+    eps, radius = 0.1, 2 * math.sqrt(prior.n) * prior.entry_bound
+    report = verify_theorem_bounds(proc, prior, 0.1, (eps,))[0]
     oracle = OracleDenoiser(prior, proc, noise)
-    rng = RandomSource(2)
-    expected = [[] for _ in levels]
-    for trial in range(trials):
-        sub = rng.split(trial)
-        x0 = prior_sample(prior, sub.split(0))
-        if np.max(np.abs(x0.values)) > prior.entry_bound:
+
+    def r(phi, t, tau):
+        est = Signal(phi, SHAPE)
+        return proc.apply(tau, est).values - proc.apply(t, est).values
+
+    attained = []
+    for i, (t, tau) in enumerate(step_severities(0.1)):
+        a = proc.eigenvalues(t)
+        diff = np.abs(proc.eigenvalues(tau) - a)
+        if report.ball_bound[i]:
+            k, size = int(np.argmax(diff)), radius
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = int(np.argmax(np.where(diff == 0.0, 0.0, diff / np.abs(a))))
+            size = eps / abs(a[k])
+        mode = np.zeros(prior.n, dtype=complex)
+        mode[k] = 1.0  # blur: the real part keeps k and -k, which share each eigenvalue
+        delta = proc.from_modes(mode).real
+        delta *= size / np.linalg.norm(delta)
+        if (np.linalg.norm(proc.matvec(t, delta)) > eps * (1 + 1e-12)
+                or np.linalg.norm(delta) > radius * (1 + 1e-12)):
             continue
-        t = float(sub.split(1).uniform())
-        tau = max(t - delta_t, 0.0)
-        mmse = oracle.estimate(sdp_sample(proc, noise, x0, t, sub.split(2)), t).values
-        u_rng = sub.split(3)
-        u = u_rng.normal(prior.n)
-        while np.linalg.norm(proc.matvec(t, u)) < 1e-12:
-            u = u_rng.normal(prior.n)
-        delta = u / np.linalg.norm(proc.matvec(t, u))
-
-        def r(phi):
-            est = Signal(phi, SHAPE)
-            return proc.apply(tau, est).values - proc.apply(t, est).values
-
-        for eps, lhs in zip(levels, expected):
-            lhs.append(float(np.linalg.norm(r(mmse + eps * delta) - r(mmse))))
-    for report, lhs in zip(reports, expected):
-        assert len(lhs) > trials // 2
-        np.testing.assert_allclose(report.lhs_values, lhs, rtol=0, atol=1e-14)
+        x0 = prior_sample(prior, RandomSource(i))
+        mmse = oracle.estimate(sdp_sample(proc, noise, x0, t, RandomSource(i).split(2)), t).values
+        lhs = float(np.linalg.norm(r(mmse + delta, t, tau) - r(mmse, t, tau)))
+        assert lhs == pytest.approx(report.lhs_values[i], rel=1e-12), t
+        attained.append((t, report.ball_bound[i]))
+    assert attained
+    ball = {"blur": [], "inpaint": [(report.ts[-1], True)], "blending": [(1.0, True)]}[kind]
+    assert [case for case in attained if case[1]] == ball  # the centre pixel at t = dt; t = 1
 
 
 def test_pd_sweep_shapes_and_determinism(setup):
